@@ -24,8 +24,9 @@ from .generators import (
     sparsify_everywhere_dense,
     tight_pivot_example,
 )
-from .ptas import PtasConfig, greedy_max, ptas_solve
+from .ptas import DEFAULT_GREEDY_RESTARTS, PtasConfig, greedy_max, ptas_solve
 from .solvers import (
+    BRUTE_FORCE_LIMIT,
     brute_force,
     dense_voting,
     pivot_best,
@@ -39,6 +40,7 @@ __all__ = [
     "CSV_HEADER",
     "ALGORITHMS",
     "FAMILIES",
+    "run_algorithm",
     "run_bench",
     "write_csv",
     "resolve_threads",
@@ -49,16 +51,22 @@ CSV_HEADER = (
     "elapsed_ms,error"
 )
 
-ALGORITHMS = (
-    "pivot",
-    "pivot-random",
-    "voting",
-    "rvoting",
-    "dense-voting",
-    "brute",
-    "greedy-max",
-    "ptas",
-)
+# algorithm name -> solver, called with the instance and the keywords seed,
+# tau, brute_limit and restarts; the CLI and the bench both dispatch here
+SOLVERS = {
+    "pivot": lambda g, **_: pivot_best(g),
+    "pivot-random": lambda g, seed, **_: pivot_random(g, rng=seed),
+    "voting": lambda g, **_: voting_solve(g),
+    "rvoting": lambda g, seed, **_: randomized_voting(g, rng=seed),
+    "dense-voting": lambda g, **_: dense_voting(g),
+    "brute": lambda g, brute_limit, **_: brute_force(g, limit=brute_limit),
+    "greedy-max": lambda g, seed, restarts, **_: greedy_max(g, rng=seed, restarts=restarts),
+    "ptas": lambda g, seed, tau, restarts, **_: ptas_solve(
+        g, PtasConfig(tau=tau, seed=seed, greedy_restarts=restarts)
+    ),
+}
+
+ALGORITHMS = tuple(SOLVERS)
 
 FAMILIES = ("planted", "noise", "tight")
 
@@ -131,24 +139,24 @@ def _make_instance(family, n, q, delta, frac, seed, cell_index):
     return inst, corr
 
 
-def _run_algorithm(alg, inst, solver_seed, tau, brute_limit):
-    if alg == "pivot":
-        return pivot_best(inst)
-    if alg == "pivot-random":
-        return pivot_random(inst, rng=solver_seed)
-    if alg == "voting":
-        return voting_solve(inst)
-    if alg == "rvoting":
-        return randomized_voting(inst, rng=solver_seed)
-    if alg == "dense-voting":
-        return dense_voting(inst)
-    if alg == "brute":
-        return brute_force(inst, limit=brute_limit)
-    if alg == "greedy-max":
-        return greedy_max(inst, rng=solver_seed)
-    if alg == "ptas":
-        return ptas_solve(inst, PtasConfig(tau=tau, seed=solver_seed))
-    raise ValueError(f"unknown algorithm {alg!r}")
+def run_algorithm(
+    alg,
+    g,
+    seed=0,
+    *,
+    tau=0.5,
+    brute_limit=BRUTE_FORCE_LIMIT,
+    restarts=DEFAULT_GREEDY_RESTARTS,
+):
+    """Run the named algorithm on ``g``: ``seed`` drives the randomized
+    solvers, ``tau`` the ptas regime check, ``brute_limit`` the brute-force
+    search-space cap and ``restarts`` the greedy orders of greedy-max and
+    ptas."""
+    try:
+        solve = SOLVERS[alg]
+    except KeyError:
+        raise ValueError(f"unknown algorithm {alg!r}; choose from {ALGORITHMS}") from None
+    return solve(g, seed=seed, tau=tau, brute_limit=brute_limit, restarts=restarts)
 
 
 def _ratio(val, ref):
@@ -173,7 +181,7 @@ def _cell_rows(family, n, q, delta, frac, seed, cell_index, algorithms, tau, bru
                 val=None,
                 ratio=None,
                 elapsed_ms=None,
-                error=str(exc),
+                error=f"{type(exc).__name__}: {exc}",
                 **common,
             )
             for alg in algorithms
@@ -188,7 +196,7 @@ def _cell_rows(family, n, q, delta, frac, seed, cell_index, algorithms, tau, bru
     for alg_index, alg in enumerate(algorithms):
         solver_seed = _spawned_int(seed, cell_index, 10 + alg_index)
         try:
-            rep = _run_algorithm(alg, inst, solver_seed, tau, brute_limit)
+            rep = run_algorithm(alg, inst, solver_seed, tau=tau, brute_limit=brute_limit)
             rows.append(
                 BenchRow(
                     algorithm=alg,
@@ -211,7 +219,7 @@ def _cell_rows(family, n, q, delta, frac, seed, cell_index, algorithms, tau, bru
                     val=None,
                     ratio=None,
                     elapsed_ms=None,
-                    error=str(exc),
+                    error=f"{type(exc).__name__}: {exc}",
                     **common,
                 )
             )

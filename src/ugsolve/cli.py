@@ -17,6 +17,7 @@ from .bench import (
     ALGORITHMS,
     DEFAULT_BENCH_BRUTE_LIMIT,
     FAMILIES,
+    run_algorithm,
     run_bench,
     write_csv,
 )
@@ -38,16 +39,8 @@ from .generators import (
     sparsify_everywhere_dense,
     tight_pivot_example,
 )
-from .ptas import DEFAULT_GREEDY_RESTARTS, PtasConfig, greedy_max, ptas_solve
-from .solvers import (
-    BRUTE_FORCE_LIMIT,
-    brute_force,
-    dense_voting,
-    pivot_best,
-    pivot_random,
-    randomized_voting,
-    voting_solve,
-)
+from .ptas import DEFAULT_GREEDY_RESTARTS
+from .solvers import BRUTE_FORCE_LIMIT
 
 
 def _describe(g):
@@ -124,28 +117,22 @@ def cmd_gen_blowup(args):
     return _finish_gen(args, inst)
 
 
+def _json_value(value):
+    """JSON form of report metadata: numbers, flags and nested dicts (such
+    as the phase timings) keep their type, anything else becomes text."""
+    if isinstance(value, dict):
+        return {k: _json_value(v) for k, v in value.items()}
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    return str(value)
+
+
 def cmd_solve(args):
     g = read_instance(args.instance)
-    alg = args.alg
-    if alg == "pivot":
-        rep = pivot_best(g)
-    elif alg == "pivot-random":
-        rep = pivot_random(g, rng=args.seed)
-    elif alg == "voting":
-        rep = voting_solve(g)
-    elif alg == "rvoting":
-        rep = randomized_voting(g, rng=args.seed)
-    elif alg == "dense-voting":
-        rep = dense_voting(g)
-    elif alg == "brute":
-        rep = brute_force(g, limit=args.limit)
-    elif alg == "greedy-max":
-        rep = greedy_max(g, rng=args.seed, restarts=args.restarts)
-    else:  # ptas
-        rep = ptas_solve(
-            g, PtasConfig(tau=args.tau, seed=args.seed,
-                          greedy_restarts=args.restarts)
-        )
+    rep = run_algorithm(
+        args.alg, g, args.seed, tau=args.tau, brute_limit=args.limit,
+        restarts=args.restarts,
+    )
     if args.json:
         payload = {
             "algorithm": rep.algorithm,
@@ -158,7 +145,7 @@ def cmd_solve(args):
             "pivot_label": rep.pivot_label,
             "seed": rep.seed,
             "elapsed_ms": rep.elapsed * 1000.0,
-            "extra": {k: str(v) for k, v in rep.extra.items()},
+            "extra": _json_value(rep.extra),
         }
         print(json.dumps(payload, sort_keys=True))
     else:

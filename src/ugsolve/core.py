@@ -428,18 +428,18 @@ def to_square_instance(g):
     n, q = g.n, g.q
     if n < 3:
         raise ValueError("square transform needs n >= 3")
+    # solvers builds on this module, so its kernel is imported at call time
+    from .solvers import CAND_BLOCK, _vote_counts, _voting_labels
+
     C = g.offset_matrix()
-    counts = np.zeros(n * n * q, dtype=np.int64)
-    cell = q * np.arange(n * n)
-    for w in range(n):
-        # two-step offset via w for every ordered pair at once
-        t = (C[:, w][:, None] + C[w, :][None, :]) % q
-        counts += np.bincount(cell + t.ravel(), minlength=n * n * q)
-    counts = counts.reshape(n, n, q)
-    iu, iv = np.triu_indices(n, k=1)
-    # drop the degenerate paths w == u and w == v (both contribute offset(u, v))
-    np.subtract.at(counts, (iu, iv, C[iu, iv]), 2)
-    mode = np.argmax(counts[iu, iv], axis=1)  # first max = smallest offset
     upper = np.zeros((n, n), dtype=np.int64)
-    upper[iu, iv] = mode
-    return LinEqInstance(n, q, upper)
+    for start in range(0, n, CAND_BLOCK):
+        pivots = np.arange(start, min(start + CAND_BLOCK, n))
+        # voting from pivot v counts, for every u, the two-step offsets
+        # offset(u, w) + offset(w, v); below the pivot its labels are the
+        # modes with the degenerate paths w == u and w == v left out
+        temp = C[:, pivots].T
+        counts = _vote_counts(g, temp)
+        labels = _voting_labels(counts, temp, pivots, np.zeros_like(pivots), True)
+        upper[:, pivots] = labels.T
+    return LinEqInstance(n, q, np.triu(upper, k=1))

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import DenseInstance, SolveReport, as_generator, violated_count
-from .solvers import _label_dtype, voting_solve
+from .solvers import voting_solve
 
 __all__ = ["PtasConfig", "greedy_max", "ptas_solve"]
 
@@ -84,10 +84,10 @@ def greedy_max(g, rng=None, restarts=DEFAULT_GREEDY_RESTARTS):
                 best_labels, best_val = labels, val
     elapsed = time.perf_counter() - start
     return SolveReport(
-        assignment=best_labels.astype(_label_dtype(g.q)),
+        assignment=best_labels,
         violated=best_val,
         algorithm="greedy-max",
-        seed=rng if isinstance(rng, int) else None,
+        seed=rng if isinstance(rng, (int, np.integer)) else None,
         elapsed=elapsed,
         extra={"restarts": restarts},
     )

@@ -62,17 +62,161 @@ def pivot_assign(g, pivot, pivot_label=0):
         raise ValueError(f"pivot must be in [0, {n})")
     if not 0 <= pivot_label < q:
         raise ValueError(f"pivot label must be in [0, {q})")
+    return _propagate(g, np.array([pivot]), np.array([pivot_label]))[0]
+
+
+def _propagate(g, pivots, pivot_labels):
+    """pivot_assign for a batch: row i propagates pivot_labels[i] from
+    pivots[i]."""
     base = g.base if isinstance(g, DenseInstance) else g
     if base.kind == "cyclic":
-        labels = (base.offset_matrix()[:, pivot] + pivot_label) % q
+        temp = (base.offset_matrix()[:, pivots].T + pivot_labels[:, None]) % g.q
     else:
-        labels = base.perm_tensor()[pivot, :, pivot_label].copy()
+        temp = base.perm_tensor()[pivots, :, pivot_labels]
     if isinstance(g, DenseInstance):
-        unreached = ~g.present_matrix()[pivot]
-        unreached[pivot] = False
-        labels = labels.copy()
-        labels[unreached] = UNLABELED
-    return labels
+        reached = g.present_matrix()[pivots]
+        reached[np.arange(len(pivots)), pivots] = True
+        temp[~reached] = UNLABELED
+    return temp
+
+
+# Tile sizes of the vote-count kernel: candidate assignments per block and
+# voters per tile.  Its float32 transients take O(q * n * (CAND_BLOCK +
+# VOTER_BLOCK)) memory, never a (nq)^2 matrix or a q * n^2 stack.
+CAND_BLOCK = 64
+VOTER_BLOCK = 128
+
+
+def _vote_counts(g, X):
+    """Two-step vote counts of a block of candidate assignments.
+
+    ``X`` is an (r, n) label array, UNLABELED where a candidate leaves a
+    vertex out.  Returns float32 R of shape (r, q, n) where R[i, a, v] counts
+    the labeled vertices u that vote a for v: u's constraint with v maps
+    X[i, u] to a, and (u, v) is present.  On complete instances u = v votes
+    too (its vote lands on X[i, v]); on dense instances it does not.
+
+    The counts are products of 0/1 tiles of the label-extended graph, whose
+    row (u, c) marks the labels of v that satisfy (u, v) given x[u] = c.
+    Cyclic: with E_j = [M == j], R[:, a] = sum_j X_{a+j} @ E_j, where X_c is
+    the one-hot slice [X == c].  Permutation: the one-hot rows of X times the
+    label-extended matrix.  Dense: absent pairs are zero blocks.
+    """
+    base = g.base if isinstance(g, DenseInstance) else g
+    present = g.present_matrix() if isinstance(g, DenseInstance) else None
+    n, q = g.n, g.q
+    # each entry sums at most n products of 0/1 values, and float32 holds
+    # every integer up to 2**24 exactly, so BLAS returns exact counts
+    assert n < 2**24
+    r = len(X)
+    labels = np.arange(q)
+    R = np.empty((r, q, n), dtype=np.float32)
+    if base.kind == "cyclic":
+        M = base.offset_matrix()
+        # one-hot over 2q labels, so that labels a .. a+q-1 (mod q) are one
+        # strided (r, q*n) view for every a
+        left = (X[:, None, :] == np.tile(labels, 2)[None, :, None]).astype(np.float32)
+        for start in range(0, n, VOTER_BLOCK):
+            tile = slice(start, min(start + VOTER_BLOCK, n))
+            right = M[None, :, tile] == labels[:, None, None]
+            if present is not None:
+                right &= present[None, :, tile]
+            right = right.astype(np.float32).reshape(q * n, -1)
+            for a in range(q):
+                np.matmul(left[:, a : a + q].reshape(r, q * n), right, out=R[:, a, tile])
+    else:
+        P = base.perm_tensor()
+        left = (X[:, :, None] == labels).astype(np.float32).reshape(r, n * q)
+        for start in range(0, n, VOTER_BLOCK):
+            tile = slice(start, min(start + VOTER_BLOCK, n))
+            b = tile.stop - start
+            # right[(u, c), (a, v)] = [perm(u, v) maps c to a]
+            right = P[:, tile, :].transpose(0, 2, 1)[:, :, None, :] == labels[:, None]
+            if present is not None:
+                right &= present[:, None, None, tile]
+            right = right.astype(np.float32).reshape(n * q, q * b)
+            R[:, :, tile] = (left @ right).reshape(r, q, b)
+    return R
+
+
+def _voting_labels(counts, temp, pivots, pivot_labels, cyclic):
+    """Voting labels from raw vote counts, the tie rules of every voting round.
+
+    ``counts[i, a, v]`` holds the votes for label a at v given candidate i's
+    propagated labels ``temp[i]`` (cyclic: with the pivot at label 0), and
+    still includes v's own vote and the pivot's, which both land on
+    temp[i, v]; they are taken out here (counts is modified).  Every vertex
+    but the pivot takes its plurality label and the pivot keeps its label.
+
+    Cyclic ties are resolved the way pivot propagation would read them off the
+    squared instance, whose canonical u < v storage negates the two-step
+    offset seen from the higher endpoint: vertices before the pivot take the
+    smallest tied offset, vertices after it the tied offset with the smallest
+    negation (0 when tied, otherwise the largest).  This makes
+    voting_single(g, p, l) identical to
+    pivot_assign(to_square_instance(g), p, l) on every complete cyclic
+    instance, ties included.  Bijection ties go to the smallest label."""
+    r, q, n = counts.shape
+    rows = np.arange(r)
+    cols = np.arange(n)[None, :]
+    counts[rows[:, None], temp, cols] -= 2
+    tied = counts == counts.max(axis=1, keepdims=True)
+    final = tied.argmax(axis=1)  # first max = smallest label
+    if cyclic:
+        largest = q - 1 - tied[:, ::-1].argmax(axis=1)
+        neg_pref = np.where(tied[:, 0], 0, largest)
+        final = np.where(cols < pivots[:, None], final, neg_pref)
+        final = (final + pivot_labels[:, None]) % q
+    final[rows, pivots] = pivot_labels
+    return final
+
+
+def _violations(g, X, counts):
+    """Violated constraints of each complete candidate row of ``X``, read off
+    its vote counts: the quadratic form x^T L x of the label-extended graph
+    counts every satisfied pair twice, plus each vertex's agreement with
+    itself on complete instances."""
+    agree = np.take_along_axis(counts, X[:, None, :], axis=1)[:, 0]
+    agree = agree.astype(np.int64).sum(axis=1)
+    self_votes = 0 if isinstance(g, DenseInstance) else g.n
+    return g.m - (agree - self_votes) // 2
+
+
+def _all_pivots(g, select):
+    """Best candidate over every pivot (every pivot label for the permutation
+    kind), CAND_BLOCK candidates at a time in (pivot, label) order; the first
+    strict minimum wins.
+
+    ``select(pivots, pivot_labels, temp, counts)`` maps one block's
+    propagated assignments and their vote counts to (assignments, violated
+    counts).  Returns (violated, pivot, label, assignment) and the report's
+    kernel and phase metadata."""
+    n, q = g.n, g.q
+    dense = isinstance(g, DenseInstance)
+    per_pivot = 1 if g.kind == "cyclic" else q
+    step = max(1, CAND_BLOCK // per_pivot)
+    phases = {"counts": 0.0, "select": 0.0}
+    best = None
+    for start in range(0, n, step):
+        t0 = time.perf_counter()
+        pivots = np.repeat(np.arange(start, min(start + step, n)), per_pivot)
+        pivot_labels = np.tile(np.arange(per_pivot), len(pivots) // per_pivot)
+        temp = _propagate(g, pivots, pivot_labels)
+        counts = _vote_counts(g, temp)
+        t1 = time.perf_counter()
+        assign, bad = select(pivots, pivot_labels, temp, counts)
+        i = int(np.argmin(bad))
+        if best is None or bad[i] < best[0]:
+            best = (int(bad[i]), int(pivots[i]), int(pivot_labels[i]), assign[i].copy())
+        phases["counts"] += t1 - t0
+        phases["select"] += time.perf_counter() - t1
+    kernel = {
+        "path": f"{g.kind}-{'dense' if dense else 'complete'}",
+        "dtype": "float32",
+        "pivot_block": step,
+        "voter_block": VOTER_BLOCK,
+    }
+    return best, {"kernel": kernel, "phases": phases}
 
 
 def pivot_best(g):
@@ -80,27 +224,9 @@ def pivot_best(g):
     permutation kind) and keep the assignment violating fewest constraints."""
     _require_complete(g, "pivot_best")
     t0 = time.perf_counter()
-    n, q = g.n, g.q
-    eu, ev = g.edges()
-    best = None
-    if g.kind == "cyclic":
-        C = g.offset_matrix()
-        for p in range(n):
-            a = C[:, p] % q
-            bad = int(np.count_nonzero((a[eu] - a[ev]) % q != C[eu, ev]))
-            if best is None or bad < best[0]:
-                best = (bad, p, 0, a)
-    else:
-        P = g.perm_tensor()
-        pe = P[eu, ev]
-        for p in range(n):
-            A = P[p]  # column l is the propagated assignment for pivot label l
-            sat = np.take_along_axis(pe, A[eu], axis=1) == A[ev]
-            viol = len(eu) - sat.sum(axis=0)
-            l = int(np.argmin(viol))
-            if best is None or viol[l] < best[0]:
-                best = (int(viol[l]), p, l, A[:, l].copy())
-    bad, p, l, a = best
+    (bad, p, l, a), extra = _all_pivots(
+        g, lambda pivots, labels, temp, counts: (temp, _violations(g, temp, counts))
+    )
     return SolveReport(
         assignment=a,
         violated=bad,
@@ -108,6 +234,7 @@ def pivot_best(g):
         pivot=p,
         pivot_label=l,
         elapsed=time.perf_counter() - t0,
+        extra=extra,
     )
 
 
@@ -142,19 +269,10 @@ def pivot_random(g, rng=None):
 
 
 def _voting_final(g, pivot, pivot_label):
-    """One voting round: propagate TEMP from the pivot, then every non-pivot
-    vertex takes the plurality label among the votes of the other n-2
-    non-pivot vertices (vote of u for v = label making (u, v) satisfied given
-    TEMP(u)); the pivot keeps its label.
-
-    Cyclic ties are resolved the way pivot propagation would read them off the
-    squared instance, whose canonical u < v storage negates the two-step
-    offset seen from the higher endpoint: vertices before the pivot take the
-    smallest tied offset, vertices after it the tied offset with the smallest
-    negation (0 when tied, otherwise the largest).  This makes
-    voting_single(g, p, l) identical to
-    pivot_assign(to_square_instance(g), p, l) on every complete cyclic
-    instance, ties included.  Bijection ties go to the smallest label."""
+    """One voting round in O(n^2): propagate TEMP from the pivot, then every
+    non-pivot vertex takes the plurality label among the votes of the other
+    n-2 non-pivot vertices (vote of u for v = label making (u, v) satisfied
+    given TEMP(u)); the pivot keeps its label.  Ties as in _voting_labels."""
     n, q = g.n, g.q
     rows = np.arange(n)
     if g.kind == "cyclic":
@@ -170,26 +288,17 @@ def _voting_final(g, pivot, pivot_label):
             counts[start : start + b] = np.bincount(
                 votes.ravel(), minlength=b * q
             ).reshape(b, q)
-        # neither the vertex itself nor the pivot votes; both degenerate
-        # votes land on the propagated label
-        counts[rows, temp] -= 2
-        final = np.argmax(counts, axis=1)  # first max = smallest offset
-        largest = q - 1 - np.argmax(counts[:, ::-1], axis=1)
-        neg_pref = np.where(counts[:, 0] == counts.max(axis=1), 0, largest)
-        final = (np.where(rows < pivot, final, neg_pref) + pivot_label) % q
-        final[pivot] = pivot_label
-        return final
-    temp = g.perm_tensor()[pivot, :, pivot_label]
-    s = np.take_along_axis(g.perm_tensor(), temp[:, None, None], axis=2)[:, :, 0]
-    votes = s.T  # votes[v, u] = vote of u for v
-    counts = np.bincount(
-        (q * rows[:, None] + votes).ravel(), minlength=n * q
-    ).reshape(n, q)
-    counts[rows, votes[rows, rows]] -= 1  # a vertex does not vote for itself
-    counts[rows, votes[:, pivot]] -= 1  # the pivot does not vote
-    final = np.argmax(counts, axis=1)  # first max = smallest label
-    final[pivot] = pivot_label
-    return final
+    else:
+        temp = g.perm_tensor()[pivot, :, pivot_label]
+        s = np.take_along_axis(g.perm_tensor(), temp[:, None, None], axis=2)[:, :, 0]
+        votes = s.T  # votes[v, u] = vote of u for v
+        counts = np.bincount(
+            (q * rows[:, None] + votes).ravel(), minlength=n * q
+        ).reshape(n, q)
+    return _voting_labels(
+        counts.T[None], temp[None], np.array([pivot]), np.array([pivot_label]),
+        g.kind == "cyclic",
+    )[0]
 
 
 def voting_single(g, pivot, pivot_label=0):
@@ -224,15 +333,13 @@ def voting_solve(g):
             elapsed=time.perf_counter() - t0,
             extra={"fallback": "pivot"},
         )
-    labels = (0,) if g.kind == "cyclic" else range(g.q)
-    best = None
-    for p in range(g.n):
-        for l in labels:
-            a = _voting_final(g, p, l)
-            bad = _violated_fast(g, a)
-            if best is None or bad < best[0]:
-                best = (bad, p, l, a)
-    bad, p, l, a = best
+    cyclic = g.kind == "cyclic"
+
+    def select(pivots, labels, temp, counts):
+        final = _voting_labels(counts, temp, pivots, labels, cyclic)
+        return final, _violations(g, final, _vote_counts(g, final))
+
+    (bad, p, l, a), extra = _all_pivots(g, select)
     return SolveReport(
         assignment=a,
         violated=bad,
@@ -240,6 +347,7 @@ def voting_solve(g):
         pivot=p,
         pivot_label=l,
         elapsed=time.perf_counter() - t0,
+        extra=extra,
     )
 
 
@@ -283,49 +391,27 @@ def randomized_voting(g, rng=None):
     )
 
 
-def _dense_voting_final(g, pivot, pivot_label):
-    """One dense voting round.  TEMP reaches the pivot and its neighbors; every
-    TEMP-labeled vertex (including the pivot) votes for each of its present
-    neighbors; a vertex with votes takes the plurality (ties to the smallest
-    label), a vertex without votes keeps its TEMP label if any, else label 0."""
-    n, q = g.n, g.q
-    base = g.base
-    present = g.present_matrix()
-    temp = pivot_assign(g, pivot, pivot_label)
-    has = temp != UNLABELED
-    safe = np.where(has, temp, 0)
-    if g.kind == "cyclic":
-        votes = (base.offset_matrix() + safe[None, :]) % q
-    else:
-        s = np.take_along_axis(base.perm_tensor(), safe[:, None, None], axis=2)[:, :, 0]
-        votes = s.T
-    mask = present & has[None, :]
-    rows, cols = np.nonzero(mask)
-    counts = np.bincount(q * rows + votes[rows, cols], minlength=n * q).reshape(n, q)
-    voted = mask.any(axis=1)
-    final = np.argmax(counts, axis=1)
-    fallback = np.where(has, temp, 0)
-    final = np.where(voted, final, fallback)
-    return final
-
-
 def dense_voting(g):
     """Voting for everywhere-dense instances: best over all pivots (and all
-    pivot labels for the permutation kind)."""
+    pivot labels for the permutation kind).
+
+    In each round TEMP reaches the pivot and its neighbors; every
+    TEMP-labeled vertex (including the pivot) votes for each of its present
+    neighbors; a vertex with votes takes the plurality (ties to the smallest
+    label), a vertex without votes keeps its TEMP label if any, else label 0.
+    """
     if not isinstance(g, DenseInstance):
         g = DenseInstance.wrap_complete(g)
     if g.n < 3:
         raise ValueError("dense voting needs n >= 3")
     t0 = time.perf_counter()
-    labels = (0,) if g.kind == "cyclic" else range(g.q)
-    best = None
-    for p in range(g.n):
-        for l in labels:
-            a = _dense_voting_final(g, p, l)
-            bad = _violated_fast(g, a)
-            if best is None or bad < best[0]:
-                best = (bad, p, l, a)
-    bad, p, l, a = best
+
+    def select(pivots, labels, temp, counts):
+        fallback = np.where(temp == UNLABELED, 0, temp)
+        final = np.where(counts.any(axis=1), counts.argmax(axis=1), fallback)
+        return final, _violations(g, final, _vote_counts(g, final))
+
+    (bad, p, l, a), extra = _all_pivots(g, select)
     return SolveReport(
         assignment=a,
         violated=bad,
@@ -333,6 +419,7 @@ def dense_voting(g):
         pivot=p,
         pivot_label=l,
         elapsed=time.perf_counter() - t0,
+        extra=extra,
     )
 
 

@@ -2,7 +2,9 @@
 
 The oracles here deliberately avoid the library's vectorized kernels: they
 re-derive violated counts and optima with plain Python loops so that library
-bugs cannot cancel out in tests.
+bugs cannot cancel out in tests.  The per-pivot loop oracles further down run
+one numpy bincount per pivot and share no code with the blocked vote-count
+kernel they check.
 """
 
 import itertools
@@ -10,7 +12,7 @@ import itertools
 import numpy as np
 import pytest
 
-from ugsolve.core import DenseInstance, LinEqInstance, UgInstance
+from ugsolve.core import DenseInstance, LinEqInstance, UgInstance, violated_count
 
 
 def violated_oracle(g, labels):
@@ -39,6 +41,130 @@ def brute_oracle(g):
         if best_val is None or val < best_val:
             best_val, best = val, np.array(labels)
     return best_val, best
+
+
+# ---------------------------------------------------------------------------
+# per-pivot loop oracles: the all-pivot solvers as one bincount per pivot,
+# checked against the blocked vote-count kernel in test_kernel.py
+# ---------------------------------------------------------------------------
+
+
+def _best_round(g, rounds):
+    """First strict minimum over (pivot, label, assignment) rounds, as
+    (violated, pivot, label, assignment)."""
+    best = None
+    for p, l, a in rounds:
+        bad = violated_count(g, a)
+        if best is None or bad < best[0]:
+            best = (bad, p, l, a)
+    return best
+
+
+def _pivot_labels(g):
+    return (0,) if g.kind == "cyclic" else range(g.q)
+
+
+def voting_round_oracle(g, pivot, pivot_label):
+    """One voting round on a complete instance, one bincount per pivot."""
+    n, q = g.n, g.q
+    rows = np.arange(n)
+    if g.kind == "cyclic":
+        M = g.offset_matrix()
+        temp = M[:, pivot]  # pivot at label 0; the label shift happens last
+        votes = (M + temp[None, :]) % q  # votes[v, u] = vote of u for v
+        counts = np.bincount(
+            (q * rows[:, None] + votes).ravel(), minlength=n * q
+        ).reshape(n, q)
+        # neither the vertex itself nor the pivot votes
+        counts[rows, temp] -= 2
+        final = np.argmax(counts, axis=1)  # first max = smallest offset
+        largest = q - 1 - np.argmax(counts[:, ::-1], axis=1)
+        neg_pref = np.where(counts[:, 0] == counts.max(axis=1), 0, largest)
+        final = (np.where(rows < pivot, final, neg_pref) + pivot_label) % q
+        final[pivot] = pivot_label
+        return final
+    temp = g.perm_tensor()[pivot, :, pivot_label]
+    s = np.take_along_axis(g.perm_tensor(), temp[:, None, None], axis=2)[:, :, 0]
+    votes = s.T  # votes[v, u] = vote of u for v
+    counts = np.bincount(
+        (q * rows[:, None] + votes).ravel(), minlength=n * q
+    ).reshape(n, q)
+    counts[rows, votes[rows, rows]] -= 1  # a vertex does not vote for itself
+    counts[rows, votes[:, pivot]] -= 1  # the pivot does not vote
+    final = np.argmax(counts, axis=1)  # first max = smallest label
+    final[pivot] = pivot_label
+    return final
+
+
+def voting_solve_oracle(g):
+    """All-pivot voting as a loop of voting rounds."""
+    return _best_round(g, (
+        (p, l, voting_round_oracle(g, p, l))
+        for p in range(g.n) for l in _pivot_labels(g)
+    ))
+
+
+def dense_voting_round_oracle(g, pivot, pivot_label):
+    """One dense voting round: TEMP reaches the pivot and its neighbors, every
+    TEMP-labeled vertex votes for its present neighbors, a vertex without
+    votes keeps its TEMP label if any, else label 0."""
+    n, q = g.n, g.q
+    base = g.base
+    present = g.present_matrix()
+    has = present[pivot].copy()
+    has[pivot] = True
+    if g.kind == "cyclic":
+        temp = (base.offset_matrix()[:, pivot] + pivot_label) % q
+        votes = (base.offset_matrix() + temp[None, :]) % q
+    else:
+        temp = base.perm_tensor()[pivot, :, pivot_label]
+        s = np.take_along_axis(base.perm_tensor(), temp[:, None, None], axis=2)[:, :, 0]
+        votes = s.T
+    mask = present & has[None, :]
+    rows, cols = np.nonzero(mask)
+    counts = np.bincount(q * rows + votes[rows, cols], minlength=n * q).reshape(n, q)
+    fallback = np.where(has, temp, 0)
+    return np.where(mask.any(axis=1), np.argmax(counts, axis=1), fallback)
+
+
+def dense_voting_oracle(g):
+    """All-pivot dense voting as a loop of dense voting rounds."""
+    if not isinstance(g, DenseInstance):
+        g = DenseInstance.wrap_complete(g)
+    return _best_round(g, (
+        (p, l, dense_voting_round_oracle(g, p, l))
+        for p in range(g.n) for l in _pivot_labels(g)
+    ))
+
+
+def pivot_best_oracle(g):
+    """Pivot propagation from every pivot (and pivot label) in a loop."""
+    if g.kind == "cyclic":
+        M = g.offset_matrix()
+        rounds = ((p, 0, M[:, p] % g.q) for p in range(g.n))
+    else:
+        P = g.perm_tensor()
+        rounds = ((p, l, P[p, :, l]) for p in range(g.n) for l in range(g.q))
+    return _best_round(g, rounds)
+
+
+def square_oracle(g):
+    """to_square_instance with one bincount of two-step offsets per middle
+    vertex w."""
+    n, q = g.n, g.q
+    C = g.offset_matrix()
+    counts = np.zeros(n * n * q, dtype=np.int64)
+    cell = q * np.arange(n * n)
+    for w in range(n):
+        t = (C[:, w][:, None] + C[w, :][None, :]) % q
+        counts += np.bincount(cell + t.ravel(), minlength=n * n * q)
+    counts = counts.reshape(n, n, q)
+    iu, iv = np.triu_indices(n, k=1)
+    # drop the degenerate paths w == u and w == v
+    np.subtract.at(counts, (iu, iv, C[iu, iv]), 2)
+    upper = np.zeros((n, n), dtype=np.int64)
+    upper[iu, iv] = np.argmax(counts[iu, iv], axis=1)  # first max = smallest
+    return LinEqInstance(n, q, upper)
 
 
 def rand_lineq(rng, n, q):

@@ -7,9 +7,12 @@ from ugsolve.bench import (
     CSV_HEADER,
     BenchRow,
     resolve_threads,
+    run_algorithm,
     run_bench,
     write_csv,
 )
+from ugsolve.generators import planted
+from ugsolve.ptas import PtasConfig, greedy_max, ptas_solve
 
 
 class TestResolveThreads:
@@ -31,6 +34,26 @@ class TestResolveThreads:
         monkeypatch.setenv("UGSOLVE_THREADS", "many")
         with pytest.raises(ValueError):
             resolve_threads()
+
+
+class TestRunAlgorithm:
+    def test_every_name_dispatches(self):
+        g = planted(7, 3, 2, rng=0).instance
+        for alg in ALGORITHMS:
+            assert run_algorithm(alg, g, 3).violated >= 0
+
+    def test_options_reach_the_solver(self):
+        g = planted(9, 3, 6, kind="perm", rng=1).instance
+        rep = run_algorithm("greedy-max", g, 4, restarts=2)
+        assert rep.extra == {"restarts": 2}
+        assert rep.violated == greedy_max(g, rng=4, restarts=2).violated
+        rep = run_algorithm("ptas", g, 4, tau=0.25, restarts=2)
+        want = ptas_solve(g, PtasConfig(tau=0.25, seed=4, greedy_restarts=2))
+        assert rep.extra == want.extra
+
+    def test_unknown_name(self):
+        with pytest.raises(ValueError):
+            run_algorithm("magic", planted(5, 2, 0, rng=0).instance)
 
 
 class TestRunBench:
@@ -119,6 +142,7 @@ class TestRunBench:
         bad, good = rows
         assert bad.algorithm == "greedy-max"
         assert bad.val is None and "complete" in bad.error
+        assert bad.error.startswith("ValueError: ")
         assert good.val == 0 and good.error == ""
 
     def test_generation_errors_are_captured_per_row(self):
@@ -131,6 +155,7 @@ class TestRunBench:
         assert len(rows) == 2
         for r in rows:
             assert r.val is None and "q = 1" in r.error
+            assert r.error.startswith("ValueError: ")
 
     def test_rejects_unknown_names(self):
         with pytest.raises(ValueError):

@@ -169,6 +169,15 @@ class TestSolve:
         assert code == 0
         assert json.loads(out)["val"] >= 0
 
+    def test_json_extra_keeps_numbers(self, capsys, instance_path):
+        code, out, _ = run(capsys, "solve", str(instance_path), "--alg", "voting", "--json")
+        extra = json.loads(out)["extra"]
+        assert code == 0 and extra["kernel"]["dtype"] == "float32"
+        assert all(isinstance(t, float) for t in extra["phases"].values())
+        code, out, _ = run(capsys, "solve", str(instance_path), "--alg", "ptas", "--json")
+        extra = json.loads(out)["extra"]
+        assert isinstance(extra["voting_val"], int) and isinstance(extra["eps_hat"], str)
+
     def test_brute_limit_exit_code(self, capsys, instance_path):
         code, _, err = run(
             capsys, "solve", str(instance_path), "--alg", "brute", "--limit", "10",

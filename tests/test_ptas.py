@@ -53,6 +53,13 @@ class TestGreedyMax:
         assert np.array_equal(a.assignment, b.assignment)
         assert a.violated == b.violated and a.seed == 5
 
+    def test_numpy_integer_seed(self, rng):
+        g = rand_instance(rng, 9, 3, "perm")
+        a = greedy_max(g, rng=np.int64(5))
+        b = greedy_max(g, rng=5)
+        assert a.seed == 5 and np.array_equal(a.assignment, b.assignment)
+        assert a.assignment.dtype == np.int64
+
     def test_more_restarts_never_hurt_with_shared_seed(self, rng):
         # Restart r of the longer run replays restart r of the shorter one.
         g = rand_instance(rng, 10, 4, "perm")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from conftest import (
     brute_oracle,
+    dense_voting_round_oracle,
     rand_dense,
     rand_instance,
     rand_lineq,
@@ -275,15 +276,16 @@ def dense_vote_oracle(g, pivot, pivot_label):
 class TestDenseVoting:
     @pytest.mark.parametrize("kind", KINDS)
     def test_matches_loop_oracle(self, rng, kind):
-        from ugsolve.solvers import _dense_voting_final
-
         for _ in range(8):
             n = int(rng.integers(4, 9))
             q = int(rng.integers(2, 4))
             d = rand_dense(rng, n, q, kind, removals=n)
             p = int(rng.integers(n))
             l = int(rng.integers(q))
-            assert (_dense_voting_final(d, p, l) == dense_vote_oracle(d, p, l)).all()
+            # the bincount round that test_kernel checks the kernel against
+            assert (dense_voting_round_oracle(d, p, l) == dense_vote_oracle(d, p, l)).all()
+            rep = dense_voting(d)
+            assert (rep.assignment == dense_vote_oracle(d, rep.pivot, rep.pivot_label)).all()
 
     def test_exact_on_satisfiable_sparsified(self, rng):
         from ugsolve.generators import sparsify_everywhere_dense
