@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import DenseInstance, LinEqInstance, as_generator
+from .core import DenseInstance, _pivot_labels, as_generator
 from .errors import OutOfRegimeError
 
 __all__ = [
@@ -29,48 +29,36 @@ __all__ = [
 ]
 
 
-def _triangle_data(g):
-    base = g.base if isinstance(g, DenseInstance) else g
+def _inconsistent_masks(g):
+    """Yield (u, B) for every anchor u, where B[i, j] (i < j) marks the
+    triangle (u, u+1+i, u+1+j) as unsatisfiable with all three edges present.
+
+    Give u a label c and its neighbors the labels its constraints force; the
+    triangle is satisfiable exactly when, for some c, the edge between the
+    two neighbors then holds.  Cyclic anchors need only c = 0 (a global shift
+    preserves every constraint)."""
+    n = g.n
     present = g.present_matrix() if isinstance(g, DenseInstance) else None
-    return base, present
-
-
-def _inconsistent_mask_for_u(base, u):
-    """Boolean (n, n) matrix B with B[v, w] = triangle (u, v, w) inconsistent
-    (meaningful for v, w distinct from u and from each other)."""
-    n, q = base.n, base.q
-    if base.kind == "cyclic":
-        C = base.offset_matrix()
-        s = (C[u, :][:, None] + C) % q  # s[v, w] = off(u,v) + off(v,w)
-        return (s + C[:, u][None, :]) % q != 0
-    P = base.perm_tensor()
-    # (u, v, w) is inconsistent when the composition around it fixes no label
-    comp = P[u]  # comp[v] = perm(u, v)
-    bad = np.zeros((n, n), dtype=bool)
-    for w in range(n):
-        # perm(v, w) applied to perm(u, v), then perm(w, u)
-        step = np.take_along_axis(P[:, w, :], comp, axis=1)
-        full = P[w, u][step]
-        bad[:, w] = (full != np.arange(q)[None, :]).all(axis=1)
-    return bad
+    for u in range(n - 2):
+        rest = slice(u + 1, None)
+        bad = True
+        for c in _pivot_labels(g):
+            temp = g.implied(slice(u, u + 1), np.array([c]), rest)[0]
+            bad = bad & (g.implied(rest, temp, rest) != temp)
+        bad = np.triu(bad, k=1)
+        if present is not None:
+            pu = present[u, rest]
+            bad &= present[rest, rest] & pu[:, None] & pu[None, :]
+        yield u, bad
 
 
 def iter_inconsistent_triangles(g):
     """Yield all triangles (u < v < w, all edges present) whose constraints
     cannot be satisfied simultaneously, in lexicographic order."""
-    base, present = _triangle_data(g)
-    n = base.n
-    for u in range(n):
-        bad = _inconsistent_mask_for_u(base, u)
-        for v in range(u + 1, n):
-            if present is not None and not present[u, v]:
-                continue
-            row = bad[v]
-            for w in range(v + 1, n):
-                if row[w] and (
-                    present is None or (present[u, w] and present[v, w])
-                ):
-                    yield (u, v, w)
+    for u, bad in _inconsistent_masks(g):
+        vs, ws = np.nonzero(bad)
+        for v, w in zip((vs + u + 1).tolist(), (ws + u + 1).tolist()):
+            yield (u, v, w)
 
 
 def inconsistent_triangles(g):
@@ -82,23 +70,7 @@ def inconsistent_triangles(g):
     instance may be unsatisfiable even though every individual triangle admits
     a local solution.
     """
-    base, present = _triangle_data(g)
-    n = base.n
-    total = 0
-    for u in range(n):
-        bad = _inconsistent_mask_for_u(base, u)
-        if present is not None:
-            pu = present[u]
-            bad = bad & present & pu[:, None] & pu[None, :]
-        else:
-            idx = np.arange(n)
-            bad = bad.copy()
-            bad[idx, idx] = False
-            bad[u, :] = False
-            bad[:, u] = False
-        # each unordered triangle through u is counted for (v, w) and (w, v)
-        total += int(np.count_nonzero(bad)) // 2
-    return total // 3  # and once per choice of the anchor vertex
+    return sum(int(np.count_nonzero(bad)) for _, bad in _inconsistent_masks(g))
 
 
 @dataclass

@@ -133,6 +133,13 @@ class LinEqInstance:
         """Read-only (n, n) matrix M with M[u, v] = offset(u, v)."""
         return self._off
 
+    def implied(self, rows, labels, cols=slice(None)):
+        """Labels the constraints force: entry [i, j] is the label cols[j]
+        must take to satisfy its constraint with rows[i] when rows[i] takes
+        labels[i].  ``rows`` is an index array or a slice, ``cols`` a slice;
+        the diagonal (a vertex with itself) is the vertex's own label."""
+        return (labels[:, None] - self._off[rows, cols]) % self.q
+
     def edges(self):
         """Index arrays (u, v) of all pairs u < v in lexicographic order."""
         return self._eu, self._ev
@@ -203,6 +210,12 @@ class UgInstance:
     def perm_tensor(self):
         """Read-only (n, n, q) tensor T with T[u, v] = perm(u, v); diagonal is identity."""
         return self._perm
+
+    def implied(self, rows, labels, cols=slice(None)):
+        """Labels the constraints force; see LinEqInstance.implied."""
+        if isinstance(rows, slice):
+            rows = np.arange(self.n)[rows]
+        return self._perm[rows, cols, labels]
 
     def edges(self):
         return self._eu, self._ev
@@ -293,6 +306,11 @@ class DenseInstance:
     def degrees(self):
         return self._degrees
 
+    def implied(self, rows, labels, cols=slice(None)):
+        """The base's implied labels, absent pairs included: callers mask
+        them with present_matrix()."""
+        return self.base.implied(rows, labels, cols)
+
     def edges(self):
         """Index arrays (u, v) of present pairs u < v in lexicographic order."""
         return self._eu, self._ev
@@ -363,25 +381,26 @@ def violated_count(g, labels):
 
 
 def _violated_fast(g, a):
-    base = g.base if isinstance(g, DenseInstance) else g
-    if base.kind == "cyclic" and not isinstance(g, DenseInstance):
-        # walk the upper triangle in row blocks: one pass over the offset
-        # matrix instead of gathering m-length edge arrays
-        n, q = base.n, base.q
-        M = base.offset_matrix()
-        bad = 0
-        block = max(1, (1 << 18) // max(n, 1))
-        for start in range(0, n, block):
-            stop = min(start + block, n)
-            d = (a[start:stop, None] - a[None, start:]) % q != M[start:stop, start:]
-            bad += int(np.count_nonzero(np.triu(d, k=1)))
-        return bad
-    eu, ev = g.edges()
-    if base.kind == "cyclic":
-        bad = (a[eu] - a[ev]) % base.q != base.offset_matrix()[eu, ev]
-    else:
-        bad = base.perm_tensor()[eu, ev, a[eu]] != a[ev]
-    return int(np.count_nonzero(bad))
+    # walk the upper triangle in row blocks: one pass over the constraints
+    # instead of gathering m-length edge arrays
+    n = g.n
+    present = g.present_matrix() if isinstance(g, DenseInstance) else None
+    bad = 0
+    block = max(1, (1 << 18) // n)
+    for start in range(0, n, block):
+        rows = slice(start, min(start + block, n))
+        d = g.implied(rows, a[rows], slice(start, None)) != a[None, start:]
+        if present is not None:
+            d &= present[rows, start:]
+        bad += int(np.count_nonzero(np.triu(d, k=1)))
+    return bad
+
+
+def _pivot_labels(g):
+    """Labels a pivot must try.  A global label shift preserves every cyclic
+    constraint, so a cyclic pivot at label 0 covers all its labels; a
+    bijection pivot has to try each one."""
+    return range(1) if g.kind == "cyclic" else range(g.q)
 
 
 def satisfied_count(g, labels):

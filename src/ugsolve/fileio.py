@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import DenseInstance, LinEqInstance, UgInstance
-from .errors import ParseError
+from .errors import ParseError, ResourceLimitError
 
 __all__ = [
     "serialize_instance",
@@ -91,7 +91,10 @@ def _parse_int(s, lineno, what):
 
 
 def parse_instance(text):
-    """Text to LinEqInstance / UgInstance (density full) or DenseInstance."""
+    """Text to LinEqInstance / UgInstance (density full) or DenseInstance.
+
+    Raises ParseError on malformed text, and ResourceLimitError when the
+    header's n and q ask for arrays that cannot be allocated."""
     rows = _tokens(text)
 
     def next_line(what):
@@ -122,11 +125,16 @@ def parse_instance(text):
         raise ParseError(f"density must be 'full' or 'dense', got {density!r}",
                          lineno=lineno)
 
-    if mode == "cyclic":
-        offsets = np.zeros((n, n), dtype=np.int64)
-    else:
-        tensor = np.tile(np.arange(q), (n, n, 1))
-    present = np.zeros((n, n), dtype=bool)
+    try:
+        if mode == "cyclic":
+            offsets = np.zeros((n, n), dtype=np.int64)
+        else:
+            tensor = np.tile(np.arange(q), (n, n, 1))
+        present = np.zeros((n, n), dtype=bool)
+    except MemoryError:
+        raise ResourceLimitError(
+            f"an instance with n={n}, q={q} does not fit in memory"
+        ) from None
     want = 2 + (1 if mode == "cyclic" else q)
     for lineno, tok in rows:
         if len(tok) != want:

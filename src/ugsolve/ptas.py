@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import DenseInstance, SolveReport, as_generator, violated_count
+from .core import DenseInstance, SolveReport, _pivot_labels, as_generator, violated_count
 from .solvers import voting_solve
 
 __all__ = ["PtasConfig", "greedy_max", "ptas_solve"]
@@ -44,17 +44,10 @@ def _greedy_pass(g, order, first_label):
     n, q = g.n, g.q
     labels = np.zeros(n, dtype=np.int64)
     labels[order[0]] = first_label
-    if g.kind == "cyclic":
-        off = g.offset_matrix()
-    else:
-        tensor = g.perm_tensor()
     for i in range(1, n):
         v = order[i]
         placed = order[:i]
-        if g.kind == "cyclic":
-            votes = (off[v, placed] + labels[placed]) % q
-        else:
-            votes = tensor[placed, v, labels[placed]]
+        votes = g.implied(placed, labels[placed], slice(v, v + 1))[:, 0]
         labels[v] = np.argmax(np.bincount(votes, minlength=q))
     return labels
 
@@ -73,7 +66,7 @@ def greedy_max(g, rng=None, restarts=DEFAULT_GREEDY_RESTARTS):
         raise ValueError("restarts must be >= 1")
     gen = as_generator(rng)
     start = time.perf_counter()
-    first_labels = range(1) if g.kind == "cyclic" else range(g.q)
+    first_labels = _pivot_labels(g)
     best_labels, best_val = None, None
     for _ in range(restarts):
         order = gen.permutation(g.n)
@@ -94,14 +87,18 @@ def greedy_max(g, rng=None, restarts=DEFAULT_GREEDY_RESTARTS):
 
 
 def ptas_solve(g, cfg):
-    """Run the voting solver and the greedy solver, return whichever violates
-    fewer constraints (tie toward voting).
+    """Run the voting solver and the greedy solver and return whichever
+    violates fewer constraints (tie toward voting): the value is
+    min(voting, greedy), whatever ``cfg.tau`` is.
 
-    The report metadata records both candidate values and the regime
+    ``tau`` only sets the ``regime_ok`` diagnostic.  The report metadata
+    keeps the voting branch's own metadata (``kernel`` and ``phases``, or
+    ``fallback`` at n = 2) and adds both candidate values and the regime
     diagnostics: eps_hat = voting value / m, nu_hat = 2/(1 - 2*eps_hat), and
-    whether the relative-error certificate 2*nu_hat*(2+nu_hat)*eps_hat < tau
-    holds (when it does, the voting value is already within (1+tau) of the
-    optimum; otherwise the greedy branch covers the high-noise regime)."""
+    regime_ok, whether the relative-error certificate
+    2*nu_hat*(2+nu_hat)*eps_hat < tau holds (when it does, the voting value
+    is already within (1+tau) of the optimum; otherwise the greedy branch
+    covers the high-noise regime)."""
     if isinstance(g, DenseInstance):
         raise ValueError("ptas_solve takes a complete instance")
     start = time.perf_counter()
@@ -119,6 +116,7 @@ def ptas_solve(g, cfg):
         nu_hat = None
         regime_ok = False
     extra = {
+        **vote.extra,
         "branch": "voting" if winner is vote else "greedy",
         "voting_val": vote.violated,
         "greedy_val": greedy.violated,
@@ -126,7 +124,6 @@ def ptas_solve(g, cfg):
         "nu_hat": nu_hat,
         "regime_ok": regime_ok,
         "tau": cfg.tau,
-        "tau_prime": cfg.tau**2 / 32,
     }
     return replace(
         winner,

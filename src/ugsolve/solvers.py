@@ -9,17 +9,16 @@ label, and pivot loops keep the first (smallest (pivot, label)) strict minimum.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
 from .core import (
     DenseInstance,
-    LinEqInstance,
     SolveReport,
-    UgInstance,
     _as_labels,
+    _pivot_labels,
     _violated_fast,
     as_generator,
 )
@@ -68,11 +67,7 @@ def pivot_assign(g, pivot, pivot_label=0):
 def _propagate(g, pivots, pivot_labels):
     """pivot_assign for a batch: row i propagates pivot_labels[i] from
     pivots[i]."""
-    base = g.base if isinstance(g, DenseInstance) else g
-    if base.kind == "cyclic":
-        temp = (base.offset_matrix()[:, pivots].T + pivot_labels[:, None]) % g.q
-    else:
-        temp = base.perm_tensor()[pivots, :, pivot_labels]
+    temp = g.implied(pivots, pivot_labels)
     if isinstance(g, DenseInstance):
         reached = g.present_matrix()[pivots]
         reached[np.arange(len(pivots)), pivots] = True
@@ -101,6 +96,10 @@ def _vote_counts(g, X):
     Cyclic: with E_j = [M == j], R[:, a] = sum_j X_{a+j} @ E_j, where X_c is
     the one-hot slice [X == c].  Permutation: the one-hot rows of X times the
     label-extended matrix.  Dense: absent pairs are zero blocks.
+
+    The two layouts stay separate on purpose: the cyclic right tile is one
+    one-hot slice per offset, q times smaller than the label-extended tile
+    the permutation kind needs.
     """
     base = g.base if isinstance(g, DenseInstance) else g
     present = g.present_matrix() if isinstance(g, DenseInstance) else None
@@ -191,9 +190,9 @@ def _all_pivots(g, select):
     propagated assignments and their vote counts to (assignments, violated
     counts).  Returns (violated, pivot, label, assignment) and the report's
     kernel and phase metadata."""
-    n, q = g.n, g.q
+    n = g.n
     dense = isinstance(g, DenseInstance)
-    per_pivot = 1 if g.kind == "cyclic" else q
+    per_pivot = len(_pivot_labels(g))
     step = max(1, CAND_BLOCK // per_pivot)
     phases = {"counts": 0.0, "select": 0.0}
     best = None
@@ -242,17 +241,20 @@ def pivot_random(g, rng=None):
     """Pivot propagation from one uniformly random pivot (the permutation kind
     still tries all labels for that pivot and keeps the best)."""
     _require_complete(g, "pivot_random")
+    return _random_pivot(g, rng, "pivot-random", pivot_assign)
+
+
+def _random_pivot(g, rng, algorithm, round_):
+    """Draw one pivot, run ``round_(g, pivot, label)`` for every label in
+    _pivot_labels(g) and keep the first strict minimum."""
     t0 = time.perf_counter()
     seed = rng if isinstance(rng, (int, np.integer)) else None
-    gen = as_generator(rng)
-    p = int(gen.integers(g.n))
-    if g.kind == "cyclic":
-        labels = (0,)
-    else:
-        labels = range(g.q)
+    p = int(as_generator(rng).integers(g.n))
+    if g.n == 2 and round_ is _voting_final:
+        return _pivot_fallback(g, algorithm, t0, seed)
     best = None
-    for l in labels:
-        a = pivot_assign(g, p, l)
+    for l in _pivot_labels(g):
+        a = round_(g, p, l)
         bad = _violated_fast(g, a)
         if best is None or bad < best[0]:
             best = (bad, l, a)
@@ -260,7 +262,7 @@ def pivot_random(g, rng=None):
     return SolveReport(
         assignment=a,
         violated=bad,
-        algorithm="pivot-random",
+        algorithm=algorithm,
         pivot=p,
         pivot_label=l,
         seed=seed,
@@ -268,36 +270,39 @@ def pivot_random(g, rng=None):
     )
 
 
+def _pivot_fallback(g, algorithm, t0, seed=None):
+    """Voting needs a third vertex; the single edge of an n = 2 instance is
+    solved exactly by pivot propagation instead."""
+    rep = pivot_best(g)
+    return replace(
+        rep,
+        algorithm=algorithm,
+        seed=seed,
+        elapsed=time.perf_counter() - t0,
+        extra={"fallback": "pivot"},
+    )
+
+
 def _voting_final(g, pivot, pivot_label):
     """One voting round in O(n^2): propagate TEMP from the pivot, then every
     non-pivot vertex takes the plurality label among the votes of the other
     n-2 non-pivot vertices (vote of u for v = label making (u, v) satisfied
-    given TEMP(u)); the pivot keeps its label.  Ties as in _voting_labels."""
+    given TEMP(u)); the pivot keeps its label.  Ties as in _voting_labels,
+    whose cyclic rule reads the counts with the pivot at label 0."""
     n, q = g.n, g.q
-    rows = np.arange(n)
-    if g.kind == "cyclic":
-        M = g.offset_matrix()
-        temp = M[:, pivot]  # pivot at label 0; the label shift happens last
-        counts = np.empty((n, q), dtype=np.int64)
-        block = max(1, (1 << 18) // n)  # keep each votes slab cache-sized
-        for start in range(0, n, block):
-            votes = M[start : start + block] + temp[None, :]
-            votes %= q
-            b = votes.shape[0]
-            votes += (q * np.arange(b))[:, None]
-            counts[start : start + b] = np.bincount(
-                votes.ravel(), minlength=b * q
-            ).reshape(b, q)
-    else:
-        temp = g.perm_tensor()[pivot, :, pivot_label]
-        s = np.take_along_axis(g.perm_tensor(), temp[:, None, None], axis=2)[:, :, 0]
-        votes = s.T  # votes[v, u] = vote of u for v
-        counts = np.bincount(
-            (q * rows[:, None] + votes).ravel(), minlength=n * q
-        ).reshape(n, q)
+    cyclic = g.kind == "cyclic"
+    temp = _propagate(g, np.array([pivot]), np.array([0 if cyclic else pivot_label]))[0]
+    counts = np.zeros(n * q, dtype=np.int64)
+    slots = q * np.arange(n)
+    block = max(1, (1 << 18) // n)  # keep each votes slab cache-sized
+    for start in range(0, n, block):
+        rows = slice(start, min(start + block, n))
+        votes = g.implied(rows, temp[rows])  # votes[u, v] = vote of u for v
+        votes += slots
+        counts += np.bincount(votes.ravel(), minlength=n * q)
     return _voting_labels(
-        counts.T[None], temp[None], np.array([pivot]), np.array([pivot_label]),
-        g.kind == "cyclic",
+        counts.reshape(n, q).T[None], temp[None], np.array([pivot]),
+        np.array([pivot_label]), cyclic,
     )[0]
 
 
@@ -323,16 +328,7 @@ def voting_solve(g):
     _require_complete(g, "voting_solve")
     t0 = time.perf_counter()
     if g.n == 2:
-        rep = pivot_best(g)
-        return SolveReport(
-            assignment=rep.assignment,
-            violated=rep.violated,
-            algorithm="voting",
-            pivot=rep.pivot,
-            pivot_label=rep.pivot_label,
-            elapsed=time.perf_counter() - t0,
-            extra={"fallback": "pivot"},
-        )
+        return _pivot_fallback(g, "voting", t0)
     cyclic = g.kind == "cyclic"
 
     def select(pivots, labels, temp, counts):
@@ -356,39 +352,7 @@ def randomized_voting(g, rng=None):
     tries all pivot labels for that pivot).  n = 2 falls back to pivot
     propagation, which is exact there."""
     _require_complete(g, "randomized_voting")
-    t0 = time.perf_counter()
-    seed = rng if isinstance(rng, (int, np.integer)) else None
-    gen = as_generator(rng)
-    p = int(gen.integers(g.n))
-    if g.n == 2:
-        rep = pivot_best(g)
-        return SolveReport(
-            assignment=rep.assignment,
-            violated=rep.violated,
-            algorithm="rvoting",
-            pivot=rep.pivot,
-            pivot_label=rep.pivot_label,
-            seed=seed,
-            elapsed=time.perf_counter() - t0,
-            extra={"fallback": "pivot"},
-        )
-    labels = (0,) if g.kind == "cyclic" else range(g.q)
-    best = None
-    for l in labels:
-        a = _voting_final(g, p, l)
-        bad = _violated_fast(g, a)
-        if best is None or bad < best[0]:
-            best = (bad, l, a)
-    bad, l, a = best
-    return SolveReport(
-        assignment=a,
-        violated=bad,
-        algorithm="rvoting",
-        pivot=p,
-        pivot_label=l,
-        seed=seed,
-        elapsed=time.perf_counter() - t0,
-    )
+    return _random_pivot(g, rng, "rvoting", _voting_final)
 
 
 def dense_voting(g):
@@ -547,14 +511,9 @@ def flip_diagnostics(g, optimum):
     if g.n < 3:
         raise ValueError("diagnostics need n >= 3")
     opt = _as_labels(g, optimum)
-    n, q, m = g.n, g.q, g.m
-    if g.kind == "cyclic":
-        bad = (opt[:, None] - opt[None, :]) % q != g.offset_matrix()
-    else:
-        s = np.take_along_axis(g.perm_tensor(), opt[:, None, None], axis=2)[:, :, 0]
-        bad = s.T != opt[:, None]
-    np.fill_diagonal(bad, False)
-    red = bad.sum(axis=1)
+    n, m = g.n, g.m
+    # a vertex's implied label for itself is its own, so the diagonal is clear
+    red = (g.implied(slice(None), opt) != opt).sum(axis=1)
     pivot = int(np.argmin(red))
     label = int(opt[pivot])
     final = _voting_final(g, pivot, label)

@@ -49,6 +49,8 @@ class TestRunAlgorithm:
         assert rep.violated == greedy_max(g, rng=4, restarts=2).violated
         rep = run_algorithm("ptas", g, 4, tau=0.25, restarts=2)
         want = ptas_solve(g, PtasConfig(tau=0.25, seed=4, greedy_restarts=2))
+        # phase timings differ between runs; the rest must agree
+        rep.extra.pop("phases"), want.extra.pop("phases")
         assert rep.extra == want.extra
 
     def test_unknown_name(self):

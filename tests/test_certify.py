@@ -34,8 +34,8 @@ class TestInconsistentTriangles:
     @pytest.mark.parametrize("kind", KINDS)
     def test_count_and_listing_match_oracle(self, rng, kind):
         for _ in range(10):
-            n = int(rng.integers(3, 9))
-            q = int(rng.integers(1, 5))
+            n = int(rng.integers(3, 13))
+            q = int(rng.integers(1, 6))
             g = rand_instance(rng, n, q, kind)
             expect = triangle_oracle(g)
             assert inconsistent_triangles(g) == len(expect)
@@ -44,8 +44,9 @@ class TestInconsistentTriangles:
     @pytest.mark.parametrize("kind", KINDS)
     def test_dense_skips_absent_edges(self, rng, kind):
         for _ in range(6):
-            n = int(rng.integers(4, 9))
-            d = rand_dense(rng, n, 3, kind, removals=n // 2)
+            n = int(rng.integers(4, 13))
+            q = int(rng.integers(1, 6))
+            d = rand_dense(rng, n, q, kind, removals=n // 2)
             expect = triangle_oracle(d)
             assert inconsistent_triangles(d) == len(expect)
             assert list(iter_inconsistent_triangles(d)) == expect

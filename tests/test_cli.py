@@ -178,6 +178,19 @@ class TestSolve:
         extra = json.loads(out)["extra"]
         assert isinstance(extra["voting_val"], int) and isinstance(extra["eps_hat"], str)
 
+    def test_ptas_json_keeps_voting_metadata(self, capsys, instance_path):
+        code, out, _ = run(capsys, "solve", str(instance_path), "--alg", "ptas", "--json")
+        extra = json.loads(out)["extra"]
+        assert code == 0 and extra["kernel"]["path"] == "cyclic-complete"
+        assert isinstance(extra["phases"]["counts"], float)
+
+    def test_absurd_vertex_count_exit_code(self, capsys, tmp_path):
+        # the n x n arrays of this header cannot be allocated at all
+        path = tmp_path / "huge.txt"
+        path.write_text("uginst 1\nmode cyclic\nq 3\nn 1000000000\ndensity full\n0 1 2\n")
+        code, _, err = run(capsys, "solve", str(path), "--alg", "pivot")
+        assert code == 4 and "n=1000000000, q=3" in err
+
     def test_brute_limit_exit_code(self, capsys, instance_path):
         code, _, err = run(
             capsys, "solve", str(instance_path), "--alg", "brute", "--limit", "10",

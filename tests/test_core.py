@@ -188,6 +188,43 @@ class TestDenseInstance:
         assert a != b
 
 
+def implied_oracle(g, u, label, v):
+    """Label v must take given u has ``label``, from the pairwise definitions;
+    a vertex paired with itself keeps its label."""
+    base = g.base if isinstance(g, DenseInstance) else g
+    if u == v:
+        return label
+    if base.kind == "cyclic":
+        return (label - base.offset(u, v)) % g.q
+    return int(base.perm(u, v)[label])
+
+
+class TestImplied:
+    @pytest.mark.parametrize("kind", ["cyclic", "perm"])
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_matches_pairwise_definitions(self, rng, kind, dense):
+        for _ in range(6):
+            n = int(rng.integers(4, 9))
+            q = int(rng.integers(1, 6))
+            if dense:
+                g = rand_dense(rng, n, q, kind, removals=n // 2)
+            else:
+                g = rand_lineq(rng, n, q) if kind == "cyclic" else rand_ug(rng, n, q)
+            v = int(rng.integers(n))
+            for rows in (slice(None), slice(1, n - 1), rng.integers(0, n, 5)):
+                row_ids = np.arange(n)[rows]
+                labels = rng.integers(0, q, len(row_ids))
+                for cols in (slice(None), slice(2, n), slice(v, v + 1)):
+                    col_ids = np.arange(n)[cols]
+                    got = g.implied(rows, labels, cols)
+                    assert got.shape == (len(row_ids), len(col_ids))
+                    want = [
+                        [implied_oracle(g, u, int(l), w) for w in col_ids.tolist()]
+                        for u, l in zip(row_ids.tolist(), labels)
+                    ]
+                    assert got.tolist() == want
+
+
 class TestViolatedCount:
     @pytest.mark.parametrize("kind", ["cyclic", "perm"])
     def test_matches_loop_oracle(self, rng, kind):

@@ -1,9 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
 from conftest import rand_dense, rand_instance
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ugsolve.core import DenseInstance, LinEqInstance, UgInstance
-from ugsolve.errors import ParseError
+from ugsolve.errors import ParseError, ResourceLimitError
 from ugsolve.fileio import (
     parse_assignment,
     parse_instance,
@@ -126,6 +130,13 @@ class TestInstanceParseErrors:
         with pytest.raises(ParseError, match="degree"):
             parse_instance(text)
 
+    @pytest.mark.parametrize("mode,edge", [("cyclic", "0 1 2"), ("perm", "0 1 2 0 1")])
+    def test_absurd_size_is_a_resource_limit(self, mode, edge):
+        # allocation of the n x n (perm: n x n x q) arrays fails at once
+        text = self.head(mode=mode, q=3, n=10**9) + edge + "\n"
+        with pytest.raises(ResourceLimitError, match="n=1000000000, q=3"):
+            parse_instance(text)
+
     def test_non_integer_tokens(self):
         with pytest.raises(ParseError, match="integer"):
             parse_instance(self.head() + "0 one 1\n")
@@ -175,3 +186,106 @@ class TestAssignmentParseErrors:
     def test_token_count(self):
         with pytest.raises(ParseError, match="2 tokens"):
             parse_assignment("ugassign 1\n0 1 2\n")
+
+
+# ---------------------------------------------------------------------------
+# properties: exact round trips, and every corrupted edge line is a ParseError
+# ---------------------------------------------------------------------------
+
+PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=80)
+
+
+@st.composite
+def instances(draw):
+    """Small complete or dense instances of either kind, n <= 12, q <= 6."""
+    kind = draw(st.sampled_from(KINDS))
+    n = draw(st.integers(2, 12))
+    q = draw(st.integers(1, 6))
+    pairs = list(itertools.combinations(range(n), 2))
+    if kind == "cyclic":
+        g = LinEqInstance(n, q, {e: draw(st.integers(0, q - 1)) for e in pairs})
+    else:
+        g = UgInstance(n, q, {e: draw(st.permutations(range(q))) for e in pairs})
+    if not draw(st.booleans()):
+        return g
+    mask = ~np.eye(n, dtype=bool)
+    for u, v in draw(st.lists(st.sampled_from(pairs), unique=True)):
+        # drop the pair unless that leaves an endpoint without edges
+        if mask[u].sum() > 1 and mask[v].sum() > 1:
+            mask[u, v] = mask[v, u] = False
+    return DenseInstance(g, mask)
+
+
+# tokens int() refuses that hold no whitespace and no comment sign
+def _not_an_int(s):
+    try:
+        int(s)
+    except ValueError:
+        return True
+    return False
+
+
+NON_INTEGERS = st.text(
+    st.characters(blacklist_categories=("Z", "C"), blacklist_characters="#"),
+    min_size=1,
+).filter(_not_an_int)
+
+
+class TestFormatProperties:
+    @PROPERTY
+    @given(instances())
+    def test_round_trip(self, g):
+        text = serialize_instance(g)
+        back = parse_instance(text)
+        assert type(back) is type(g) and back == g
+        assert serialize_instance(back) == text
+
+    @PROPERTY
+    @given(instances(), st.data())
+    def test_corrupted_edge_line_is_a_parse_error(self, g, data):
+        lines = serialize_instance(g).splitlines()
+        head, edges = lines[:5], lines[5:]
+        i = data.draw(st.integers(0, len(edges) - 1))
+        tok = edges[i].split()
+        how = ["drop token", "extra token", "non-integer", "out of range",
+               "swap endpoints", "duplicate line"]
+        if not isinstance(g, DenseInstance):
+            how.append("missing line")
+        if g.kind == "perm" and g.q > 1:
+            how.append("not a bijection")
+        how = data.draw(st.sampled_from(how))
+        j = data.draw(st.integers(0, len(tok) - 1))
+        if how == "drop token":
+            del tok[j]
+        elif how == "extra token":
+            tok.insert(j, "0")
+        elif how == "non-integer":
+            tok[j] = data.draw(NON_INTEGERS)
+        elif how == "out of range":
+            top = g.n if j < 2 else g.q
+            bad = st.one_of(st.integers(max_value=-1), st.integers(min_value=top))
+            tok[j] = str(data.draw(bad))
+        elif how == "swap endpoints":
+            tok[0], tok[1] = tok[1], tok[0]
+        elif how == "not a bijection":
+            a, b = data.draw(st.lists(st.integers(2, len(tok) - 1), min_size=2,
+                                      max_size=2, unique=True))
+            tok[a] = tok[b]
+        edges[i] = " ".join(tok)
+        if how == "duplicate line":
+            edges.insert(i, edges[i])
+        elif how == "missing line":
+            del edges[i]
+        with pytest.raises(ParseError):
+            parse_instance("\n".join(head + edges) + "\n")
+
+    @PROPERTY
+    @given(instances(), st.data())
+    def test_arbitrary_edge_line_parses_or_is_a_parse_error(self, g, data):
+        lines = serialize_instance(g).splitlines()
+        i = data.draw(st.integers(5, len(lines) - 1))
+        lines[i] = data.draw(st.text(max_size=30))
+        try:
+            parse_instance("\n".join(lines) + "\n")
+        except ParseError:
+            pass

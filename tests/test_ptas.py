@@ -115,7 +115,9 @@ class TestPtasSolve:
         eps = Fraction(report.extra["voting_val"], m)
         assert report.extra["eps_hat"] == eps
         assert report.extra["nu_hat"] == 2 / (1 - 2 * eps)
-        assert report.extra["tau_prime"] == 0.5**2 / 32
+        # the voting branch's own metadata survives, whichever branch wins
+        assert report.extra["kernel"]["path"] == "cyclic-complete"
+        assert set(report.extra["phases"]) == {"counts", "select"}
 
     def test_tiny_tau_flags_out_of_regime(self):
         g = planted(8, 3, 6, rng=4).instance

@@ -249,6 +249,18 @@ class TestRandomizedVoting:
             for seed in range(5):
                 assert randomized_voting(g, rng=seed).violated == 0
 
+    def test_two_vertices_fall_back_to_pivot(self, rng):
+        for kind in KINDS:
+            g = rand_instance(rng, 2, 3, kind)
+            gen, twin = np.random.default_rng(5), np.random.default_rng(5)
+            rep = randomized_voting(g, rng=gen)
+            assert rep.violated == 0 and rep.extra == {"fallback": "pivot"}
+            assert rep.algorithm == "rvoting" and rep.seed is None
+            # the pivot is drawn before the fallback, as at n >= 3
+            twin.integers(2)
+            assert gen.integers(1 << 30) == twin.integers(1 << 30)
+            assert randomized_voting(g, rng=7).seed == 7
+
 
 def dense_vote_oracle(g, pivot, pivot_label):
     n, q = g.n, g.q
@@ -369,6 +381,17 @@ class TestFlipDiagnostics:
             diag = flip_diagnostics(g, opt)
             assert diag.opt_violated == violated_oracle(g, opt)
             assert int(diag.red_degrees.sum()) == 2 * diag.opt_violated
+            for v in range(n):
+                red = 0
+                for u in range(n):
+                    if u == v:
+                        continue
+                    if kind == "cyclic":
+                        ok = (opt[u] - opt[v]) % q == g.offset(u, v)
+                    else:
+                        ok = g.perm(u, v)[opt[u]] == opt[v]
+                    red += not ok
+                assert diag.red_degrees[v] == red
             assert diag.flippable_count_bounded
 
     def test_low_corruption_flips_only_flippable(self):
