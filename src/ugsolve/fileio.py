@@ -93,8 +93,9 @@ def _parse_int(s, lineno, what):
 def parse_instance(text):
     """Text to LinEqInstance / UgInstance (density full) or DenseInstance.
 
-    Raises ParseError on malformed text, and ResourceLimitError when the
-    header's n and q ask for arrays that cannot be allocated."""
+    Raises ParseError on malformed text (q must fit a 64-bit label), and
+    ResourceLimitError when the header's n and q ask for arrays that cannot
+    be allocated."""
     rows = _tokens(text)
 
     def next_line(what):
@@ -115,6 +116,9 @@ def parse_instance(text):
     q = _parse_int(_expect_header(tok, lineno, "q")[0], lineno, "q")
     if q < 1:
         raise ParseError("q must be >= 1", lineno=lineno)
+    if q >= 2**63:
+        raise ParseError("q must be below 2**63: labels are 64-bit integers",
+                         lineno=lineno)
     lineno, tok = next_line("n header")
     n = _parse_int(_expect_header(tok, lineno, "n")[0], lineno, "n")
     if n < 2:
@@ -131,7 +135,9 @@ def parse_instance(text):
         else:
             tensor = np.tile(np.arange(q), (n, n, 1))
         present = np.zeros((n, n), dtype=bool)
-    except MemoryError:
+    except (MemoryError, ValueError, OverflowError):
+        # numpy refuses sizes beyond its index range with ValueError or
+        # OverflowError instead of trying to allocate them
         raise ResourceLimitError(
             f"an instance with n={n}, q={q} does not fit in memory"
         ) from None

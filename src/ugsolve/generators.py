@@ -14,6 +14,7 @@ import numpy as np
 
 from .core import DenseInstance, LinEqInstance, UgInstance, as_generator
 from .errors import GadgetGenerationError
+from .solvers import brute_force
 
 __all__ = [
     "PlantedInstance",
@@ -224,17 +225,13 @@ def signed_cost(h, clustering):
 def brute_min_disagree2(h):
     """Exhaustive minimum two-cluster disagreement cost; returns
     (cost, clustering) with the lexicographically smallest optimal clustering.
-    Complementing a clustering preserves cost, so vertex 0 stays in cluster 0."""
-    n = h.n
-    best = None
-    for bits in range(1 << (n - 1)):
-        c = np.zeros(n, dtype=np.int64)
-        for j in range(n - 1):
-            c[n - 1 - j] = (bits >> j) & 1
-        cost = signed_cost(h, c)
-        if best is None or cost < best[0]:
-            best = (cost, c)
-    return best
+    Complementing a clustering preserves cost, so vertex 0 stays in cluster 0:
+    this is brute_force on reduce_mindisagree2(h), whose cyclic search keeps
+    vertex 0 at label 0 (ResourceLimitError above its search-space limit)."""
+    if h.n < 2:
+        return 0, np.zeros(h.n, dtype=np.int64)
+    rep = brute_force(reduce_mindisagree2(h))
+    return rep.violated, rep.assignment
 
 
 def reduce_mindisagree2(h):

@@ -387,73 +387,127 @@ def dense_voting(g):
     )
 
 
-def _label_dtype(q):
-    if q <= 127:
-        return np.int8
-    if q <= 32767:
-        return np.int16
-    return np.int64
+# Split exhaustive search: the labelings of the low block (the last vertices)
+# are the columns of one block of satisfied counts, at most COL_CAP of them,
+# and every transient table of a block of high-vertex labelings holds at most
+# about ENTRY_CAP entries, whatever the size of the search space.  The low
+# block's pair table, built once, also stays within 1/LOW_SHARE of the search
+# space, so that small searches are not dominated by it.
+COL_CAP = 1 << 14
+ENTRY_CAP = 1 << 20
+LOW_SHARE = 4
+
+
+def _digits(idx, radices):
+    """Mixed-radix digits of the enumeration indices ``idx``, one column per
+    radix, the last radix least significant."""
+    out = np.zeros((len(idx), len(radices)), dtype=np.int64)
+    rest = idx
+    for j in range(len(radices) - 1, -1, -1):
+        out[:, j] = rest % radices[j]
+        rest = rest // radices[j]
+    return out
+
+
+def _forced(g, present, X, first, cols):
+    """forced[i, u, c]: the label vertex cols.start + c must take to satisfy
+    its constraint with vertex first + u at label X[i, u]; q where the pair
+    is absent (and on the diagonal, which present never marks)."""
+    r, w = X.shape
+    rows = np.arange(first, first + w)
+    F = g.implied(np.tile(rows, r), X.ravel(), cols).reshape(r, w, cols.stop - cols.start)
+    return np.where(present[rows, cols], F, g.q)
+
+
+def _satisfied(forced, X):
+    """Satisfied pairs within the block of X's vertices, per row of X, from
+    their forced labels (every pair is seen from both ends)."""
+    return (forced == X[:, None, :]).sum(axis=(1, 2), dtype=np.int32) // 2
+
+
+def _low_size(n, q, space):
+    """Vertices in the low block: the most, short of all n, whose q^l
+    labelings fit COL_CAP columns and whose pair table (q^l * l^2 entries)
+    fits ENTRY_CAP and 1/LOW_SHARE of the search space."""
+    table_cap = min(ENTRY_CAP, space // LOW_SHARE)
+    l = 0
+    while l + 1 < n and q ** (l + 1) <= COL_CAP and q ** (l + 1) * (l + 1) ** 2 <= table_cap:
+        l += 1
+    return l
 
 
 def brute_force(g, limit=BRUTE_FORCE_LIMIT):
     """Exhaustive search for an assignment with the minimum number of violated
     constraints; returns the lexicographically smallest optimal assignment.
 
-    Cyclic instances are enumerated with the first vertex fixed to label 0
-    (global label shifts preserve every cyclic constraint), so the search
+    Vertex 0 ranges over _pivot_labels(g): a cyclic instance keeps it at label
+    0 (global label shifts preserve every cyclic constraint), so the search
     space is q^(n-1); the permutation kind enumerates all q^n assignments.
     Raises ResourceLimitError if the search space exceeds ``limit``.
+
+    The enumeration splits into the high vertices 0..k-1 (rows) and the low
+    block k..n-1 (columns).  The satisfied count of row h and column c is
+    satHH[h] + satLL[c] + sum_j W[h, j, c_j], where W[h, j, a] counts the high
+    vertices whose constraint forces label a on low vertex k + j: the product
+    of W with the one-hot low labelings, summed by broadcasting one low vertex
+    at a time into a block of rows.  The first maximum of a block in
+    row-major order is its smallest enumeration index, and the search stops
+    at the first block that satisfies every constraint.
     """
     n, q = g.n, g.q
-    cyclic = (g.base if isinstance(g, DenseInstance) else g).kind == "cyclic"
-    free = n - 1 if cyclic else n
-    space = q**free
+    lead = len(_pivot_labels(g))
+    free = n - 1 if lead == 1 else n
+    space = lead * q ** (n - 1)
     if space > limit:
         raise ResourceLimitError(
             f"search space q^{free} = {space} exceeds limit {limit}"
         )
+    # counts are summed in int32, and none exceeds m
+    assert g.m < 2**31
     t0 = time.perf_counter()
-    eu, ev = g.edges()
-    base = g.base if isinstance(g, DenseInstance) else g
-    if cyclic:
-        off = base.offset_matrix()[eu, ev]
-    else:
-        pe = base.perm_tensor()[eu, ev]
-    dt = _label_dtype(q)
-    block = 1 << 20 if n <= 20 else 1 << 18
+    present = g.present_matrix() if isinstance(g, DenseInstance) else ~np.eye(n, dtype=bool)
+    radices = [lead] + [q] * (n - 1)
+    l = _low_size(n, q, space)
+    k = n - l
+    cols = q**l
+    low = _digits(np.arange(cols), radices[k:])
+    sat_low = _satisfied(_forced(g, present, low, k, slice(k, n)), low)
+    t1 = time.perf_counter()
+
+    rows = space // cols
+    row_block = max(1, ENTRY_CAP // max(cols, k * n, l * (q + 1)))
+    # q + 1 vote slots per (row, low vertex), the last one for absent pairs
+    slots = (np.arange(row_block)[:, None, None] * l + np.arange(l)) * (q + 1)
     best_bad, best_idx = None, None
-    for start in range(0, space, block):
-        idx = np.arange(start, min(start + block, space), dtype=np.int64)
-        b = len(idx)
-        labels = np.zeros((b, n), dtype=dt)
-        rest = idx
-        for j in range(n - 1, n - 1 - free, -1):
-            labels[:, j] = rest % q
-            rest = rest // q
-        bad = np.zeros(b, dtype=np.int64)
-        if cyclic:
-            for e in range(len(eu)):
-                bad += (labels[:, eu[e]].astype(np.int64) - labels[:, ev[e]]) % q != off[e]
-        else:
-            for e in range(len(eu)):
-                bad += pe[e][labels[:, eu[e]]] != labels[:, ev[e]]
-        i = int(np.argmin(bad))
-        if best_bad is None or bad[i] < best_bad:
-            best_bad = int(bad[i])
-            best_idx = start + i
+    for start in range(0, rows, row_block):
+        r = min(row_block, rows - start)
+        high = _digits(np.arange(start, start + r), radices[:k])
+        forced = _forced(g, present, high, 0, slice(0, n))
+        W = np.bincount((slots[:r] + forced[:, :, k:]).ravel(), minlength=r * l * (q + 1))
+        W = W.reshape(r, l, q + 1)[:, :, :q].astype(np.int32)
+        sat = _satisfied(forced[:, :, :k], high)
+        for j in range(l):
+            sat = sat[..., None] + W[:, j].reshape((r,) + (1,) * j + (q,))
+        sat = sat.reshape(r, cols)
+        sat += sat_low
+        i = int(np.argmax(sat))
+        bad = g.m - int(sat.flat[i])
+        if best_bad is None or bad < best_bad:
+            best_bad, best_idx = bad, start * cols + i
         if best_bad == 0:
             break
-    a = np.zeros(n, dtype=np.int64)
-    rest = best_idx
-    for j in range(n - 1, n - 1 - free, -1):
-        a[j] = rest % q
-        rest = rest // q
+    a = _digits(np.array([best_idx]), radices)[0]
     return SolveReport(
         assignment=a,
         violated=best_bad,
         algorithm="brute",
         elapsed=time.perf_counter() - t0,
-        extra={"search_space": space},
+        extra={
+            "search_space": space,
+            "kernel": {"path": "split", "dtype": "int32", "low_block": l,
+                       "row_block": row_block},
+            "phases": {"build": t1 - t0, "search": time.perf_counter() - t1},
+        },
     )
 
 

@@ -4,7 +4,8 @@ The oracles here deliberately avoid the library's vectorized kernels: they
 re-derive violated counts and optima with plain Python loops so that library
 bugs cannot cancel out in tests.  The per-pivot loop oracles further down run
 one numpy bincount per pivot and share no code with the blocked vote-count
-kernel they check.
+kernel they check, and the per-edge exhaustive search checks the
+split-and-multiply brute_force.
 """
 
 import itertools
@@ -41,6 +42,48 @@ def brute_oracle(g):
         if best_val is None or val < best_val:
             best_val, best = val, np.array(labels)
     return best_val, best
+
+
+def brute_force_loop_oracle(g):
+    """Exhaustive search as one numpy pass over every labeling per edge, in
+    blocks of 2^20 enumeration indices (vertex 0 at label 0 on cyclic
+    instances, the last vertex least significant); returns (optimum,
+    lexicographically smallest optimal assignment) and stops at the first
+    block that reaches 0, like brute_force."""
+    n, q = g.n, g.q
+    base = g.base if isinstance(g, DenseInstance) else g
+    cyclic = base.kind == "cyclic"
+    free = n - 1 if cyclic else n
+    space = q**free
+    eu, ev = g.edges()
+    if cyclic:
+        off = base.offset_matrix()[eu, ev]
+    else:
+        pe = base.perm_tensor()[eu, ev]
+    best_bad, best_idx = None, None
+    for start in range(0, space, 1 << 20):
+        idx = np.arange(start, min(start + (1 << 20), space), dtype=np.int64)
+        labels = np.zeros((len(idx), n), dtype=np.int64)
+        rest = idx
+        for j in range(n - 1, n - 1 - free, -1):
+            labels[:, j] = rest % q
+            rest = rest // q
+        bad = np.zeros(len(idx), dtype=np.int64)
+        for e in range(len(eu)):
+            if cyclic:
+                bad += (labels[:, eu[e]] - labels[:, ev[e]]) % q != off[e]
+            else:
+                bad += pe[e][labels[:, eu[e]]] != labels[:, ev[e]]
+        i = int(np.argmin(bad))
+        if best_bad is None or bad[i] < best_bad:
+            best_bad, best_idx = int(bad[i]), start + i
+        if best_bad == 0:
+            break
+    a = np.zeros(n, dtype=np.int64)
+    for j in range(n - 1, n - 1 - free, -1):
+        a[j] = best_idx % q
+        best_idx //= q
+    return best_bad, a
 
 
 # ---------------------------------------------------------------------------

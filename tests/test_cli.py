@@ -178,6 +178,16 @@ class TestSolve:
         extra = json.loads(out)["extra"]
         assert isinstance(extra["voting_val"], int) and isinstance(extra["eps_hat"], str)
 
+    def test_brute_json_reports_kernel_and_phases(self, capsys, instance_path):
+        code, out, _ = run(capsys, "solve", str(instance_path), "--alg", "brute", "--json")
+        extra = json.loads(out)["extra"]
+        kernel = extra["kernel"]
+        assert code == 0 and kernel["path"] == "split" and kernel["dtype"] == "int32"
+        assert isinstance(kernel["low_block"], int) and isinstance(kernel["row_block"], int)
+        assert extra["search_space"] == 3**6
+        assert set(extra["phases"]) == {"build", "search"}
+        assert all(isinstance(t, float) for t in extra["phases"].values())
+
     def test_ptas_json_keeps_voting_metadata(self, capsys, instance_path):
         code, out, _ = run(capsys, "solve", str(instance_path), "--alg", "ptas", "--json")
         extra = json.loads(out)["extra"]

@@ -1,4 +1,8 @@
+import contextlib
+import io
 import itertools
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ from conftest import rand_dense, rand_instance
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ugsolve.cli import main
 from ugsolve.core import DenseInstance, LinEqInstance, UgInstance
 from ugsolve.errors import ParseError, ResourceLimitError
 from ugsolve.fileio import (
@@ -137,6 +142,20 @@ class TestInstanceParseErrors:
         with pytest.raises(ResourceLimitError, match="n=1000000000, q=3"):
             parse_instance(text)
 
+    @pytest.mark.parametrize("mode,q,n", [("cyclic", 3, 10**30), ("cyclic", 3, 2**62),
+                                          ("perm", 3, 10**30)])
+    def test_sizes_beyond_numpy_are_a_resource_limit(self, mode, q, n):
+        # numpy refuses these shapes with ValueError or OverflowError
+        with pytest.raises(ResourceLimitError, match=f"n={n}, q={q}"):
+            parse_instance(self.head(mode=mode, q=q, n=n) + "0 1 0\n")
+
+    def test_q_beyond_64_bits(self):
+        edges = "0 1 2\n0 2 1\n1 2 5\n"
+        with pytest.raises(ParseError, match="2\\*\\*63"):
+            parse_instance(self.head(q=2**63, n=3) + edges)
+        g = parse_instance(self.head(q=2**62, n=3) + edges)
+        assert g.offset(1, 2) == 5
+
     def test_non_integer_tokens(self):
         with pytest.raises(ParseError, match="integer"):
             parse_instance(self.head() + "0 one 1\n")
@@ -189,7 +208,8 @@ class TestAssignmentParseErrors:
 
 
 # ---------------------------------------------------------------------------
-# properties: exact round trips, and every corrupted edge line is a ParseError
+# properties: exact round trips, and every corrupted edge or header line is a
+# ParseError (exit 3 from `ugsolve solve`)
 # ---------------------------------------------------------------------------
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=80)
@@ -229,6 +249,45 @@ NON_INTEGERS = st.text(
     st.characters(blacklist_categories=("Z", "C"), blacklist_characters="#"),
     min_size=1,
 ).filter(_not_an_int)
+
+
+# single tokens: no whitespace, no comment sign
+WORDS = st.text(
+    st.characters(blacklist_categories=("Z", "C"), blacklist_characters="#"),
+    min_size=1,
+)
+HEADER_VALUES = {1: ("cyclic", "perm"), 4: ("full", "dense")}
+
+
+def _corrupt_header(g, data):
+    """Serialized g with one of its five header lines broken."""
+    lines = serialize_instance(g).splitlines()
+    i = data.draw(st.integers(0, 4))
+    tok = lines[i].split()
+    how = ["wrong key", "missing token", "extra token"]
+    if i == 0:
+        how.append("bad version")
+    elif i in HEADER_VALUES:
+        how.append("unknown value")
+    else:
+        how += ["non-integer", "non-positive"]
+    how = data.draw(st.sampled_from(how))
+    if how == "wrong key":  # on the first line: a bad magic
+        tok[0] = data.draw(WORDS.filter(lambda s: s != tok[0]))
+    elif how == "missing token":
+        del tok[data.draw(st.integers(0, 1))]
+    elif how == "extra token":
+        tok.insert(data.draw(st.integers(0, 2)), data.draw(WORDS))
+    elif how == "bad version":
+        tok[1] = data.draw(WORDS.filter(lambda s: s != "1"))
+    elif how == "unknown value":
+        tok[1] = data.draw(WORDS.filter(lambda s: s not in HEADER_VALUES[i]))
+    elif how == "non-integer":
+        tok[1] = data.draw(NON_INTEGERS)
+    else:  # q < 1 or n < 2
+        tok[1] = str(data.draw(st.integers(max_value=i - 2)))
+    lines[i] = " ".join(tok)
+    return "\n".join(lines) + "\n"
 
 
 class TestFormatProperties:
@@ -278,6 +337,24 @@ class TestFormatProperties:
             del edges[i]
         with pytest.raises(ParseError):
             parse_instance("\n".join(head + edges) + "\n")
+
+    @PROPERTY
+    @given(instances(), st.data())
+    def test_corrupted_header_line_is_a_parse_error(self, g, data):
+        text = _corrupt_header(g, data)
+        with pytest.raises(ParseError):
+            parse_instance(text)
+
+    @settings(PROPERTY, max_examples=30)
+    @given(instances(), st.data())
+    def test_solve_exits_3_on_a_corrupted_header(self, g, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "inst.txt")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(_corrupt_header(g, data))
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                assert main(["solve", path, "--alg", "pivot"]) == 3
+            assert err.getvalue().startswith("error:")
 
     @PROPERTY
     @given(instances(), st.data())
