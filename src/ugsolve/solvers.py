@@ -390,12 +390,9 @@ def dense_voting(g):
 # Split exhaustive search: the labelings of the low block (the last vertices)
 # are the columns of one block of satisfied counts, at most COL_CAP of them,
 # and every transient table of a block of high-vertex labelings holds at most
-# about ENTRY_CAP entries, whatever the size of the search space.  The low
-# block's pair table, built once, also stays within 1/LOW_SHARE of the search
-# space, so that small searches are not dominated by it.
+# about ENTRY_CAP entries, whatever the size of the search space.
 COL_CAP = 1 << 14
 ENTRY_CAP = 1 << 20
-LOW_SHARE = 4
 
 
 def _digits(idx, radices):
@@ -426,12 +423,17 @@ def _satisfied(forced, X):
 
 
 def _low_size(n, q, space):
-    """Vertices in the low block: the most, short of all n, whose q^l
-    labelings fit COL_CAP columns and whose pair table (q^l * l^2 entries)
-    fits ENTRY_CAP and 1/LOW_SHARE of the search space."""
-    table_cap = min(ENTRY_CAP, space // LOW_SHARE)
-    l = 0
-    while l + 1 < n and q ** (l + 1) <= COL_CAP and q ** (l + 1) * (l + 1) ** 2 <= table_cap:
+    """Vertices in the low block: the last one, and more, short of all n,
+    while their q^l labelings fit COL_CAP columns, their pair table fits
+    ENTRY_CAP and one more vertex lowers the implied labels the search
+    computes: q^l * l^2 for the low block's pair table plus (n - l) * n for
+    the forced labels of each of the space / q^l rows."""
+    def implied_count(l):
+        return q**l * l * l + space // q**l * (n - l) * n
+
+    l = 1
+    while (l + 1 < n and q ** (l + 1) <= COL_CAP and q ** (l + 1) * (l + 1) ** 2 <= ENTRY_CAP
+           and implied_count(l + 1) < implied_count(l)):
         l += 1
     return l
 
@@ -450,9 +452,11 @@ def brute_force(g, limit=BRUTE_FORCE_LIMIT):
     satHH[h] + satLL[c] + sum_j W[h, j, c_j], where W[h, j, a] counts the high
     vertices whose constraint forces label a on low vertex k + j: the product
     of W with the one-hot low labelings, summed by broadcasting one low vertex
-    at a time into a block of rows.  The first maximum of a block in
-    row-major order is its smallest enumeration index, and the search stops
-    at the first block that satisfies every constraint.
+    at a time into a block of rows.  When q exceeds COL_CAP the low block is
+    the last vertex alone and its labels are taken COL_CAP at a time.  The
+    smallest enumeration index among the maxima of all blocks is the answer,
+    and the search stops after the first block of rows that satisfies every
+    constraint.
     """
     n, q = g.n, g.q
     lead = len(_pivot_labels(g))
@@ -469,33 +473,44 @@ def brute_force(g, limit=BRUTE_FORCE_LIMIT):
     radices = [lead] + [q] * (n - 1)
     l = _low_size(n, q, space)
     k = n - l
-    cols = q**l
-    low = _digits(np.arange(cols), radices[k:])
-    sat_low = _satisfied(_forced(g, present, low, k, slice(k, n)), low)
+    # labels of each low vertex per column chunk: fewer than q only when q
+    # exceeds COL_CAP, and then the low block is one vertex
+    span = min(q, COL_CAP)
+    if l > 1:
+        low = _digits(np.arange(q**l), radices[k:])
+        sat_low = _satisfied(_forced(g, present, low, k, slice(k, n)), low)
+    else:
+        sat_low = 0  # a single low vertex has no pairs of its own
     t1 = time.perf_counter()
 
-    rows = space // cols
-    row_block = max(1, ENTRY_CAP // max(cols, k * n, l * (q + 1)))
-    # q + 1 vote slots per (row, low vertex), the last one for absent pairs
-    slots = (np.arange(row_block)[:, None, None] * l + np.arange(l)) * (q + 1)
-    best_bad, best_idx = None, None
+    rows = space // q**l
+    row_block = max(1, ENTRY_CAP // max(span**l, k * n, l * (span + 1)))
+    best = (g.m + 1, 0)  # (violated, enumeration index)
     for start in range(0, rows, row_block):
         r = min(row_block, rows - start)
         high = _digits(np.arange(start, start + r), radices[:k])
         forced = _forced(g, present, high, 0, slice(0, n))
-        W = np.bincount((slots[:r] + forced[:, :, k:]).ravel(), minlength=r * l * (q + 1))
-        W = W.reshape(r, l, q + 1)[:, :, :q].astype(np.int32)
-        sat = _satisfied(forced[:, :, :k], high)
-        for j in range(l):
-            sat = sat[..., None] + W[:, j].reshape((r,) + (1,) * j + (q,))
-        sat = sat.reshape(r, cols)
-        sat += sat_low
-        i = int(np.argmax(sat))
-        bad = g.m - int(sat.flat[i])
-        if best_bad is None or bad < best_bad:
-            best_bad, best_idx = bad, start * cols + i
-        if best_bad == 0:
+        sat_high = _satisfied(forced[:, :, :k], high)
+        for c0 in range(0, q, span):
+            w = min(span, q - c0)
+            # w + 1 vote slots per (row, low vertex), the last one for labels
+            # outside the chunk and for absent pairs
+            votes = forced[:, :, k:] - c0
+            votes[(votes < 0) | (votes > w)] = w
+            slots = np.arange(r * l).reshape(r, 1, l) * (w + 1)
+            W = np.bincount((slots + votes).ravel(), minlength=r * l * (w + 1))
+            W = W.reshape(r, l, w + 1)[:, :, :w].astype(np.int32)
+            sat = sat_high
+            for j in range(l):
+                sat = sat[..., None] + W[:, j].reshape((r,) + (1,) * j + (w,))
+            sat = sat.reshape(r, w**l)
+            sat += sat_low
+            i = int(np.argmax(sat))
+            h, c = divmod(i, w**l)
+            best = min(best, (g.m - int(sat.flat[i]), (start + h) * q**l + c0 + c))
+        if best[0] == 0:
             break
+    best_bad, best_idx = best
     a = _digits(np.array([best_idx]), radices)[0]
     return SolveReport(
         assignment=a,
@@ -505,7 +520,7 @@ def brute_force(g, limit=BRUTE_FORCE_LIMIT):
         extra={
             "search_space": space,
             "kernel": {"path": "split", "dtype": "int32", "low_block": l,
-                       "row_block": row_block},
+                       "row_block": row_block, "col_chunk": span**l},
             "phases": {"build": t1 - t0, "search": time.perf_counter() - t1},
         },
     )

@@ -5,7 +5,8 @@ re-derive violated counts and optima with plain Python loops so that library
 bugs cannot cancel out in tests.  The per-pivot loop oracles further down run
 one numpy bincount per pivot and share no code with the blocked vote-count
 kernel they check, and the per-edge exhaustive search checks the
-split-and-multiply brute_force.
+split-and-multiply brute_force and, through the signed-graph reduction,
+brute_min_disagree2.
 """
 
 import itertools
@@ -42,6 +43,29 @@ def brute_oracle(g):
         if best_val is None or val < best_val:
             best_val, best = val, np.array(labels)
     return best_val, best
+
+
+def signed_cost_oracle(h, clustering):
+    """Loop-based two-cluster disagreement cost of a signed graph."""
+    total = 0
+    for u in range(h.n):
+        for v in range(u + 1, h.n):
+            across = clustering[u] != clustering[v]
+            if h.signs[u, v] == 1:
+                total += across
+            else:
+                total += not across
+    return total
+
+
+def min_disagree2_oracle(h):
+    """Exhaustive minimum two-cluster disagreement over the 2^(n-1)
+    clusterings with vertex 0 in cluster 0 (complementing a clustering keeps
+    its cost); returns (cost, lexicographically smallest optimal clustering)."""
+    return min(
+        (signed_cost_oracle(h, (0,) + bits), (0,) + bits)
+        for bits in itertools.product((0, 1), repeat=h.n - 1)
+    )
 
 
 def brute_force_loop_oracle(g):

@@ -17,6 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+from conftest import min_disagree2_oracle
 
 from ugsolve.certify import (
     dense_voting_bound,
@@ -337,12 +338,13 @@ def test_c08_certificates():
 
 
 def test_c09_reductions_and_constructions():
-    # (a) signed-graph encoding preserves optimal cost
+    # (a) signed-graph encoding preserves optimal cost: the exhaustive search
+    # on the encoding against the loop over every two-cluster clustering
     bad_reduce = 0
     for i in range(50):
         h = random_signed_graph(4 + i % 5, 0.5, rng=2_000 + i)
         bad_reduce += (
-            brute_force(reduce_mindisagree2(h)).violated != brute_min_disagree2(h)[0]
+            brute_force(reduce_mindisagree2(h)).violated != min_disagree2_oracle(h)[0]
         )
 
     # (b) padded intended-labeling cost: c + n*M*(q-2)/2

@@ -3,8 +3,9 @@
 brute_force must return exactly the optimum and the lexicographically
 smallest optimal assignment of the per-edge loop oracle in conftest.  The
 instances are tie-heavy (45% noise), and their sizes sit on the search's
-block edges: a low block of exactly COL_CAP labelings, an empty low block,
-and high-vertex rows that fill or cross one row block.
+block edges: a low block of exactly COL_CAP labelings, a single low vertex
+whose labels are taken in chunks of COL_CAP, and high-vertex rows that fill
+or cross one row block.
 """
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from conftest import brute_force_loop_oracle
 
 from ugsolve import solvers
+from ugsolve.core import DenseInstance, LinEqInstance
 from ugsolve.generators import noise_model, planted, sparsify_everywhere_dense
 from ugsolve.solvers import COL_CAP, brute_force
 
@@ -60,27 +62,35 @@ def test_planted_matches_loop_oracle(kind):
 
 
 # (kind, q, n) whose low block has exactly COL_CAP labelings
-AT_CAP = [("cyclic", 4, 12), ("cyclic", 128, 4), ("perm", 128, 3)]
+AT_CAP = [("cyclic", COL_CAP, 2), ("cyclic", 128, 4), ("perm", 128, 3)]
 
 
 @pytest.mark.parametrize("kind,q,n", AT_CAP)
 def test_low_block_at_column_cap(kind, q, n):
     g = _instance(kind, q, n, seed=q + n)
     rep = _same(g)
-    assert q ** rep.extra["kernel"]["low_block"] == COL_CAP
+    assert q ** rep.extra["kernel"]["low_block"] == rep.extra["kernel"]["col_chunk"] == COL_CAP
 
 
-def test_labels_above_cap_leave_the_low_block_empty():
-    g = _instance("cyclic", COL_CAP + 1, 2, seed=2)
+@pytest.mark.parametrize("q", (COL_CAP + 1, 2 * COL_CAP, 10**6))
+def test_labels_above_cap_are_taken_in_column_chunks(q):
+    # one edge: the only optimum is the label its offset forces on vertex 1
+    offsets = np.zeros((2, 2), dtype=np.int64)
+    offsets[0, 1] = 5
+    offsets[1, 0] = q - 5
+    g = LinEqInstance(2, q, offsets)
     rep = _same(g)
-    assert rep.extra["kernel"]["low_block"] == 0
-    assert _rows(rep, g)[0] == rep.extra["search_space"]
+    assert rep.violated == 0 and rep.assignment[1] == q - 5
+    kernel = rep.extra["kernel"]
+    assert (kernel["low_block"], kernel["col_chunk"]) == (1, COL_CAP)
+    assert _rows(rep, g)[0] == 1
 
 
-@pytest.mark.parametrize("col_cap,entry_cap", [(1, 64), (16, 64), (64, 256)])
+@pytest.mark.parametrize("col_cap,entry_cap", [(1, 64), (4, 256), (16, 64), (64, 256)])
 def test_small_caps_match_loop_oracle(monkeypatch, col_cap, entry_cap):
-    # shrunken caps spread the search over many row blocks; a column cap of 1
-    # leaves the low block empty on unsatisfiable instances
+    # shrunken caps spread the search over many row blocks; a column cap
+    # below q takes the last vertex's labels in chunks, so that ties across
+    # chunks of one block of rows must resolve to the smallest index
     monkeypatch.setattr(solvers, "COL_CAP", col_cap)
     monkeypatch.setattr(solvers, "ENTRY_CAP", entry_cap)
     crossed = 0
@@ -90,17 +100,17 @@ def test_small_caps_match_loop_oracle(monkeypatch, col_cap, entry_cap):
                 g = _instance(kind, q, 6 if q < 5 else 5, seed=10 * q + dense, dense=dense)
                 rep = _same(g)
                 rows, row_block = _rows(rep, g)
-                assert q ** rep.extra["kernel"]["low_block"] <= col_cap
+                assert rep.extra["kernel"]["col_chunk"] <= col_cap
                 crossed += rows > row_block
     assert crossed >= 6  # of 12
 
 
 @pytest.mark.parametrize("kind,q,n,blocks", [
     ("cyclic", 7, 8, 1),  # 343 rows of 436
-    ("cyclic", 4, 11, 1),  # 256 rows of 256
-    ("perm", 10, 6, 1),  # 100 rows of 104
+    ("cyclic", 4, 11, 1),  # 1024 rows of 1024
+    ("perm", 10, 6, 1),  # 1000 rows of 1048
     ("perm", 8, 7, 2),  # 512 rows of 256
-    ("cyclic", 11, 7, 2),  # 121 rows of 71
+    ("cyclic", 11, 7, 2),  # 1331 rows of 787
 ])
 def test_rows_crossing_a_row_block(kind, q, n, blocks):
     g = _instance(kind, q, n, seed=7 * q + n)
@@ -122,11 +132,35 @@ def test_satisfiable_stops_at_zero(kind, q, n):
 
 
 def test_kernel_metadata():
-    rep = brute_force(_instance("cyclic", 3, 7, seed=0))
+    rep = brute_force(_instance("cyclic", 3, 12, seed=0))
     kernel = rep.extra["kernel"]
-    assert (kernel["path"], kernel["dtype"], kernel["low_block"]) == ("split", "int32", 2)
-    # the widest row is the forced table of 5 high vertices on all 7
-    assert kernel["row_block"] == solvers.ENTRY_CAP // (5 * 7)
-    assert rep.extra["search_space"] == 3**6
+    # a seventh low vertex would add more implied labels to the pair table
+    # (3^7 * 7^2 against 3^6 * 6^2) than it saves on the rows (3^4 * 5 * 12
+    # against 3^5 * 6 * 12)
+    assert (kernel["path"], kernel["dtype"], kernel["low_block"]) == ("split", "int32", 6)
+    assert kernel["col_chunk"] == 3**6
+    # the widest row is one row of 3^6 columns
+    assert kernel["row_block"] == solvers.ENTRY_CAP // 3**6
+    assert rep.extra["search_space"] == 3**11
     assert set(rep.extra["phases"]) == {"build", "search"}
     assert all(t >= 0 for t in rep.extra["phases"].values())
+
+
+def test_first_zero_over_label_chunks(monkeypatch):
+    # two separate constraints, 0-1 and 2-3: each label x of vertex 2 starts
+    # a zero labeling with vertex 3 at x + 3.  With vertex 3's labels in
+    # chunks of two, the zero at x = 2 (vertex 3 at 0) turns up in an earlier
+    # chunk than the smallest, x = 0 (vertex 3 at 3), in the same block of rows
+    monkeypatch.setattr(solvers, "COL_CAP", 2)
+    monkeypatch.setattr(solvers, "ENTRY_CAP", 256)
+    q = 5
+    offsets = np.zeros((4, 4), dtype=np.int64)
+    offsets[2, 3], offsets[3, 2] = q - 3, 3
+    present = np.zeros((4, 4), dtype=bool)
+    present[0, 1] = present[1, 0] = present[2, 3] = present[3, 2] = True
+    g = DenseInstance(LinEqInstance(4, q, offsets), present)
+    rep = _same(g)
+    assert rep.violated == 0 and rep.assignment.tolist() == [0, 0, 0, 3]
+    kernel = rep.extra["kernel"]
+    assert (kernel["low_block"], kernel["col_chunk"]) == (1, 2)
+    assert kernel["row_block"] > q

@@ -4,7 +4,7 @@ from math import ceil
 
 import numpy as np
 import pytest
-from conftest import brute_oracle, violated_oracle
+from conftest import brute_oracle, min_disagree2_oracle, signed_cost_oracle, violated_oracle
 
 from ugsolve.core import DenseInstance, LinEqInstance, UgInstance, violated_count
 from ugsolve.errors import GadgetGenerationError
@@ -191,18 +191,6 @@ class TestSparsify:
             sparsify_everywhere_dense(d, 0.2)
 
 
-def cost_oracle(h, clustering):
-    total = 0
-    for u in range(h.n):
-        for v in range(u + 1, h.n):
-            across = clustering[u] != clustering[v]
-            if h.signs[u, v] == 1:
-                total += across
-            else:
-                total += not across
-    return total
-
-
 class TestSignedGraphs:
     def test_random_graph_shape_and_extremes(self):
         h = random_signed_graph(7, 0.4, rng=0)
@@ -215,19 +203,14 @@ class TestSignedGraphs:
         h = random_signed_graph(6, 0.5, rng=1)
         for _ in range(10):
             c = rng.integers(0, 2, 6)
-            assert signed_cost(h, c) == cost_oracle(h, c)
+            assert signed_cost(h, c) == signed_cost_oracle(h, c)
 
     def test_brute_minimum_and_tie_break(self):
         for seed in range(6):
             h = random_signed_graph(6, 0.5, rng=seed)
             cost, c = brute_min_disagree2(h)
             assert c[0] == 0
-            every = [
-                (cost_oracle(h, (0,) + bits), (0,) + bits)
-                for bits in itertools.product((0, 1), repeat=5)
-            ]
-            best = min(every)
-            assert cost == best[0] and tuple(c) == best[1]
+            assert (cost, tuple(c)) == min_disagree2_oracle(h)
 
     def test_cost_validation(self):
         h = random_signed_graph(4, 0.5, rng=0)
