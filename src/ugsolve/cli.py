@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
 from . import __version__
 from .bench import (
@@ -24,7 +25,13 @@ from .bench import (
 from .certify import inconsistent_triangles, triangle_packing_lb
 from .core import DenseInstance, violated_count
 from .errors import ResourceLimitError, UgsolveError
-from .fileio import read_assignment, read_instance, write_assignment, write_instance
+from .fileio import (
+    read_assignment,
+    read_instance,
+    read_instance_info,
+    write_assignment,
+    write_instance,
+)
 from .generators import (
     BlowupSpec,
     GadgetSpec,
@@ -128,7 +135,9 @@ def _json_value(value):
 
 
 def cmd_solve(args):
-    g = read_instance(args.instance)
+    start = time.perf_counter()
+    g, parser = read_instance_info(args.instance)
+    parse_ms = (time.perf_counter() - start) * 1000.0
     rep = run_algorithm(
         args.alg, g, args.seed, tau=args.tau, brute_limit=args.limit,
         restarts=args.restarts,
@@ -145,6 +154,8 @@ def cmd_solve(args):
             "pivot_label": rep.pivot_label,
             "seed": rep.seed,
             "elapsed_ms": rep.elapsed * 1000.0,
+            "parse_ms": parse_ms,
+            "parser": parser,
             "extra": _json_value(rep.extra),
         }
         print(json.dumps(payload, sort_keys=True))

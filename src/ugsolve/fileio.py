@@ -19,10 +19,15 @@ lines, ``density dense`` lists the present edges only.  Assignment file::
     1 0
     ...
 
-Parsing and serialization round-trip exactly.
+Parsing and serialization round-trip exactly.  A file whose header lines
+are plain (no comment, no blank line) and whose body holds only ASCII digits,
+spaces and newlines is read by whole-array numpy passes; every other file is
+read token by token, and both paths accept, reject and return the same.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -32,8 +37,10 @@ from .errors import ParseError, ResourceLimitError
 __all__ = [
     "serialize_instance",
     "parse_instance",
+    "parse_instance_info",
     "write_instance",
     "read_instance",
+    "read_instance_info",
     "serialize_assignment",
     "parse_assignment",
     "write_assignment",
@@ -43,6 +50,11 @@ __all__ = [
 INSTANCE_MAGIC = "uginst"
 ASSIGNMENT_MAGIC = "ugassign"
 FORMAT_VERSION = "1"
+
+# bytes of a body the fast path reads; a token of at most 18 digits is below
+# 10**18 < 2**63, so np.fromstring can neither overflow nor saturate on it
+_FAST_BYTES = b"0123456789 \n"
+_FAST_DIGITS = 18
 
 
 def serialize_instance(g):
@@ -58,14 +70,16 @@ def serialize_instance(g):
     ]
     eu, ev = g.edges()
     if base.kind == "cyclic":
-        off = base.offset_matrix()
-        for u, v in zip(eu.tolist(), ev.tolist()):
-            lines.append(f"{u} {v} {off[u, v]}")
+        values = base.offset_matrix()[eu, ev][:, None]
     else:
-        tensor = base.perm_tensor()
-        for u, v in zip(eu.tolist(), ev.tolist()):
-            lines.append(f"{u} {v} " + " ".join(map(str, tensor[u, v].tolist())))
-    return "\n".join(lines) + "\n"
+        values = base.perm_tensor()[eu, ev]
+    return "\n".join(lines) + "\n" + _format_rows(np.column_stack((eu, ev, values)))
+
+
+def _format_rows(table):
+    """One text line per row of a 2-D integer table, one '%' for the lot."""
+    line = " ".join(["%d"] * table.shape[1]) + "\n"
+    return (line * len(table)) % tuple(table.ravel().tolist())
 
 
 def _tokens(text):
@@ -90,13 +104,96 @@ def _parse_int(s, lineno, what):
         raise ParseError(f"{what} must be an integer, got {s!r}", lineno=lineno) from None
 
 
+def _plain_split(text, head_lines):
+    """(head, body) split after the first head_lines newlines when _tokens
+    reads those lines as rows 1..head_lines: no comment, no blank line and no
+    line break but the newline.  None otherwise."""
+    end = -1
+    for _ in range(head_lines):
+        end = text.find("\n", end + 1)
+        if end < 0:
+            return None
+    head = text[:end]
+    lines = head.splitlines()
+    if len(lines) != head_lines or "#" in head or not all(map(str.strip, lines)):
+        return None
+    return head, text[end + 1:]
+
+
+def _digit_table(body, width):
+    """The body as an int64 (lines, width) table when it holds only ASCII
+    digits, spaces and newlines, no token longer than _FAST_DIGITS and
+    exactly ``width`` tokens on every line; None otherwise."""
+    if not body.isascii():
+        return None
+    raw = body.encode("ascii")
+    if raw.translate(None, _FAST_BYTES) or not _rows_of(np.frombuffer(raw, np.uint8), width):
+        return None
+    return np.fromstring(raw, dtype=np.int64, sep=" ").reshape(-1, width)
+
+
+def _rows_of(byte, width):
+    """Whether a body of digits, spaces and newlines has at least one token,
+    none longer than _FAST_DIGITS and exactly ``width`` on every line.  Holds
+    per-token positions only, no per-byte integers."""
+    digit = np.zeros(len(byte) + 2, dtype=bool)  # padded: no token at either end
+    digit[1:-1] = byte > ord(" ")
+    starts = np.flatnonzero(digit[1:] > digit[:-1])
+    if len(starts) == 0:
+        return False
+    lengths = np.flatnonzero(digit[:-1] > digit[1:])
+    del digit  # free each array once done: the body can be megabytes
+    lengths -= starts
+    if int(lengths.max()) > _FAST_DIGITS:
+        return False
+    del lengths
+    # line k ends at newline k, or at the end of the body for a last line
+    # without one; it holds exactly tokens k*width .. k*width + width - 1 iff
+    # the last of them starts before its end and the next one after it
+    ends = np.flatnonzero(byte == ord("\n"))
+    if len(ends) == 0 or starts[-1] > ends[-1]:
+        ends = np.append(ends, len(byte))
+    return (len(starts) == width * len(ends)
+            and bool((starts[width - 1::width] < ends).all())
+            and bool((starts[width::width] > ends[:-1]).all()))
+
+
+def _fill_edges(table, n, q, values, present):
+    """Write valid edge rows ``u v value...`` into ``values`` (cyclic:
+    offsets (n, n); perm: tensor (n, n, q)) and ``present``.  Returns False,
+    with both arrays untouched, if any row is not a valid edge line."""
+    u, v, vals = table[:, 0], table[:, 1], table[:, 2:]
+    # the table holds no sign, so nothing in it is negative
+    if not ((u < v) & (v < n)).all() or int(vals.max()) >= q:
+        return False
+    if values.ndim == 3 and not (np.sort(vals, axis=1) == np.arange(q)).all():
+        return False
+    present[u, v] = True
+    if np.count_nonzero(present) != len(table):  # a repeated (u, v)
+        present[u, v] = False
+        return False
+    present[v, u] = True
+    values[u, v] = vals[:, 0] if values.ndim == 2 else vals
+    return True
+
+
 def parse_instance(text):
     """Text to LinEqInstance / UgInstance (density full) or DenseInstance.
 
     Raises ParseError on malformed text (q must fit a 64-bit label), and
     ResourceLimitError when the header's n and q ask for arrays that cannot
     be allocated."""
-    rows = _tokens(text)
+    return parse_instance_info(text)[0]
+
+
+def parse_instance_info(text, fast=True):
+    """parse_instance, and which path read the edge lines: "fast" (whole-array
+    numpy passes) or "reference" (token by token).  The fast path takes only
+    files whose edge lines it can check exactly; it hands any other file, and
+    any failing check, to the reference path, which raises the errors.
+    ``fast=False`` reads every file token by token."""
+    split = _plain_split(text, 5) if fast else None
+    rows = _tokens(text if split is None else split[0])
 
     def next_line(what):
         try:
@@ -142,6 +239,13 @@ def parse_instance(text):
             f"an instance with n={n}, q={q} does not fit in memory"
         ) from None
     want = 2 + (1 if mode == "cyclic" else q)
+    table = None if split is None else _digit_table(split[1], want)
+    values = offsets if mode == "cyclic" else tensor
+    parser = "reference"
+    if table is not None and _fill_edges(table, n, q, values, present):
+        parser, rows = "fast", ()
+    elif split is not None:  # the header came from the head alone
+        rows = itertools.islice(_tokens(text), 5, None)
     for lineno, tok in rows:
         if len(tok) != want:
             raise ParseError(f"edge line needs {want} tokens, got {len(tok)}",
@@ -170,7 +274,7 @@ def parse_instance(text):
         raise ParseError(f"density full requires {m_full} edge lines, found {count}")
     try:
         base = LinEqInstance(n, q, offsets) if mode == "cyclic" else UgInstance(n, q, tensor)
-        return base if density == "full" else DenseInstance(base, present)
+        return (base if density == "full" else DenseInstance(base, present)), parser
     except ParseError:
         raise
     except ValueError as exc:
@@ -180,14 +284,35 @@ def parse_instance(text):
 def serialize_assignment(labels):
     """Assignment to text; inverse of parse_assignment."""
     a = np.asarray(labels)
-    lines = [f"{ASSIGNMENT_MAGIC} {FORMAT_VERSION}"]
-    lines.extend(f"{v} {int(a[v])}" for v in range(len(a)))
-    return "\n".join(lines) + "\n"
+    pairs = [0] * (2 * len(a))
+    pairs[::2] = range(len(a))
+    pairs[1::2] = a.tolist()
+    return f"{ASSIGNMENT_MAGIC} {FORMAT_VERSION}\n" + ("%d %d\n" * len(a)) % tuple(pairs)
 
 
-def parse_assignment(text):
-    """Text to a label vector; every vertex 0..n-1 must appear exactly once."""
-    rows = _tokens(text)
+def _labels_by_vertex(table):
+    """Label vector of a (lines, 2) ``vertex label`` table that lists every
+    vertex 0..n-1 once; None otherwise.  The table holds no sign."""
+    vertex, label = table[:, 0], table[:, 1]
+    n = len(table)
+    if int(vertex.max()) >= n:
+        return None
+    seen = np.zeros(n, dtype=bool)
+    seen[vertex] = True
+    if not seen.all():
+        return None
+    labels = np.empty(n, dtype=np.int64)
+    labels[vertex] = label
+    return labels
+
+
+def parse_assignment(text, fast=True):
+    """Text to a label vector; every vertex 0..n-1 must appear exactly once.
+
+    Files of ASCII digits take whole-array passes unless ``fast=False``;
+    every other file, and every error, is read token by token."""
+    split = _plain_split(text, 1) if fast else None
+    rows = _tokens(text if split is None else split[0])
     try:
         lineno, tok = next(rows)
     except StopIteration:
@@ -195,6 +320,12 @@ def parse_assignment(text):
     magic = _expect_header(tok, lineno, ASSIGNMENT_MAGIC)
     if magic[0] != FORMAT_VERSION:
         raise ParseError(f"unsupported format version {magic[0]!r}", lineno=lineno)
+    table = None if split is None else _digit_table(split[1], 2)
+    labels = None if table is None else _labels_by_vertex(table)
+    if labels is not None:
+        return labels
+    if split is not None:  # the header came from the head alone
+        rows = itertools.islice(_tokens(text), 1, None)
     seen = {}
     for lineno, tok in rows:
         if len(tok) != 2:
@@ -206,6 +337,9 @@ def parse_assignment(text):
             raise ParseError(f"duplicate vertex {v}", lineno=lineno)
         if lab < 0:
             raise ParseError("labels must be nonnegative", lineno=lineno)
+        if lab >= 2**63:
+            raise ParseError("labels must be below 2**63: labels are 64-bit integers",
+                             lineno=lineno)
         seen[v] = lab
     if not seen:
         raise ParseError("assignment lists no vertices")
@@ -222,8 +356,13 @@ def write_instance(g, path):
 
 
 def read_instance(path):
+    return read_instance_info(path)[0]
+
+
+def read_instance_info(path):
+    """read_instance, and the parser path that ran; see parse_instance_info."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_instance(fh.read())
+        return parse_instance_info(fh.read())
 
 
 def write_assignment(labels, path):

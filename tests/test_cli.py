@@ -159,6 +159,14 @@ class TestSolve:
         g = read_instance(instance_path)
         labels = read_assignment(assign)
         assert violated_count(g, labels) == payload["val"]
+        assert payload["parse_ms"] >= 0 and payload["parser"] == "fast"
+
+    def test_json_names_the_reference_parser(self, capsys, tmp_path):
+        inst = tmp_path / "g.txt"
+        write_instance(planted(5, 3, 1, rng=0).instance, inst)
+        inst.write_text("# commented\n" + inst.read_text())
+        code, out, _ = run(capsys, "solve", str(inst), "--alg", "pivot", "--json")
+        assert code == 0 and json.loads(out)["parser"] == "reference"
 
     @pytest.mark.parametrize(
         "alg", ["pivot", "pivot-random", "voting", "rvoting", "dense-voting",
@@ -239,6 +247,14 @@ class TestVerify:
         write_assignment([0, 1, 0], assign)
         code, _, err = run(capsys, "verify", str(inst), str(assign))
         assert code == 3 and "error:" in err
+
+    def test_label_beyond_64_bits_exit_code(self, capsys, tmp_path):
+        inst = tmp_path / "g.txt"
+        assign = tmp_path / "a.txt"
+        write_instance(planted(2, 2, 0, rng=0).instance, inst)
+        assign.write_text("ugassign 1\n0 99999999999999999999999\n1 0\n")
+        code, _, err = run(capsys, "verify", str(inst), str(assign))
+        assert code == 3 and err.startswith("error: line 2: labels must be below 2**63")
 
 
 class TestCertify:

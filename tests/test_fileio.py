@@ -16,6 +16,7 @@ from ugsolve.errors import ParseError, ResourceLimitError
 from ugsolve.fileio import (
     parse_assignment,
     parse_instance,
+    parse_instance_info,
     read_assignment,
     read_instance,
     serialize_assignment,
@@ -206,6 +207,153 @@ class TestAssignmentParseErrors:
         with pytest.raises(ParseError, match="2 tokens"):
             parse_assignment("ugassign 1\n0 1 2\n")
 
+    def test_label_beyond_64_bits(self):
+        with pytest.raises(ParseError, match=r"below 2\*\*63") as info:
+            parse_assignment("ugassign 1\n0 99999999999999999999999\n1 0\n")
+        assert info.value.lineno == 2
+        top = 2**63 - 1
+        assert parse_assignment(f"ugassign 1\n0 {top}\n1 0\n").tolist() == [top, 0]
+
+
+# ---------------------------------------------------------------------------
+# the whole-array path against the per-token reference path: same instance or
+# same error (type, message, line number) on every body
+# ---------------------------------------------------------------------------
+
+def _outcome(parse, text):
+    """(parse(text), None), or (None, the error's type, message and line)."""
+    try:
+        return parse(text), None
+    except (ParseError, ResourceLimitError) as exc:
+        return None, (type(exc), str(exc), getattr(exc, "lineno", None))
+
+
+def assert_instance_paths_agree(text, parser=None):
+    """Both paths give the same instance or the same error, which is
+    returned; ``parser`` names the path that must have run."""
+    fast, fast_error = _outcome(parse_instance_info, text)
+    ref, ref_error = _outcome(lambda t: parse_instance_info(t, fast=False), text)
+    assert fast_error == ref_error
+    if ref is not None:
+        assert type(fast[0]) is type(ref[0]) and fast[0] == ref[0]
+        assert ref[1] == "reference" and parser in (None, fast[1])
+    return ref_error
+
+
+def assert_assignment_paths_agree(text):
+    fast, fast_error = _outcome(parse_assignment, text)
+    ref, ref_error = _outcome(lambda t: parse_assignment(t, fast=False), text)
+    assert fast_error == ref_error
+    if ref is not None:
+        assert fast.dtype == ref.dtype and np.array_equal(fast, ref)
+
+
+CYC = "uginst 1\nmode cyclic\nq 5\nn 3\ndensity full\n"
+PERM = "uginst 1\nmode perm\nq 3\nn 3\ndensity full\n"
+DENSE = "uginst 1\nmode cyclic\nq 5\nn 4\ndensity dense\n"
+
+
+class TestFastPathMatchesReference:
+    @pytest.mark.parametrize("text", [
+        CYC + "0 1 1\n0 2 4\n1 2 0\n",
+        CYC + "0 1 1\n0 2 4\n1 2 0",  # no final newline
+        CYC + "  0   1 1 \n0 2  4\n1 2 0   \n  ",
+        CYC + "1 2 0\n0 2 4\n0 1 1\n",
+        CYC + "0 1 00001\n0 002 4\n1 2 0\n",
+        PERM + "0 1 2 0 1\n0 2 0 1 2\n1 2 1 0 2\n",
+        DENSE + "0 1 1\n2 3 4\n",
+    ])
+    def test_digit_bodies_take_the_fast_path(self, text):
+        assert_instance_paths_agree(text, "fast")
+
+    @pytest.mark.parametrize("text", [
+        "# comment\n" + CYC + "0 1 1\n0 2 4\n1 2 0\n",
+        CYC.replace("q 5", "q 5  # labels") + "0 1 1\n0 2 4\n1 2 0\n",
+        CYC.replace("\nq", "\n\nq") + "0 1 1\n0 2 4\n1 2 0\n",
+        CYC + "0 1 1  # note\n0 2 4\n1 2 0\n",
+        CYC + "0 1 1\n\n0 2 4\n1 2 0\n",
+        CYC + "0 1 1\n0 2 4\n1 2 0\n\n",
+        CYC + "0 1 +3\n0 2 4\n1 2 0\n",
+        CYC + "0 1 0_1\n0 2 4\n1 2 0\n",
+        CYC.replace("q 5", "q 1_001") + "0 1 1_000\n0 2 4\n1 2 0\n",
+        CYC + "0 1 \u0663\n0 2 4\n1 2 0\n",  # ARABIC-INDIC DIGIT THREE
+        CYC + "0\t1\t1\n0 2 4\n1 2 0\n",
+        (CYC + "0 1 1\n0 2 4\n1 2 0\n").replace("\n", "\r\n"),
+        CYC + "0 1 0000000000000000001\n0 2 4\n1 2 0\n",  # 19 digits
+        CYC + "0 0000000000000000002 4\n0 1 1\n1 2 0\n",
+    ])
+    def test_other_bodies_take_the_reference_path(self, text):
+        assert_instance_paths_agree(text, "reference")
+
+    @pytest.mark.parametrize("text", [
+        CYC + "0 1\n1 0 2 4\n1 2 0\n",  # 2 + 4 tokens add up to 2 lines of 3
+        CYC + "0 1 1 0 2\n4\n1 2 0\n",
+        CYC + "0 1 1\n0 2 4\n",  # a missing line
+        CYC + "0 1 1\n0 2 4\n1 2 0\n1 2 0\n",  # duplicate
+        CYC + "0 1 1\n0 2 4\n1 2 0\n0 1 1\n",
+        CYC + "0 1 9\n0 1 1\n0 2 4\n1 2 0\n",  # first copy out of range
+        CYC + "1 0 1\n1 0 1\n0 2 4\n1 2 0\n",  # first copy u > v
+        CYC + "0 1 1\n2 1 4\n1 2 0\n",
+        CYC + "0 1 1\n0 3 4\n1 2 0\n",
+        CYC + "0 0 1\n0 2 4\n1 2 0\n",
+        CYC + "0 1 5\n0 2 4\n1 2 0\n",
+        CYC + "0 1 -1\n0 2 4\n1 2 0\n",
+        CYC + "0 1 x\n0 2 4\n1 2 0\n",
+        CYC + "0 1 99999999999999999999\n0 2 4\n1 2 0\n",
+        CYC + "0 1 1\n0 2 4\n1 2 0\n 0 1 0000000000000000000000001\n",
+        CYC + "0 1 1\n0 2 4\n1 2 0\n1 2",
+        CYC + "\n",
+        CYC,
+        PERM + "0 1 2 0 1\n0 2 0 0 2\n1 2 1 0 2\n",  # not a bijection
+        PERM + "0 1 2 0 3\n0 2 0 1 2\n1 2 1 0 2\n",
+        PERM + "0 1 2 0 1\n0 2 0 1 2\n1 2 1 0\n",
+        DENSE + "0 1 1\n",  # degree zero
+        DENSE + "0 1 1\n2 3 4\n0 1 1\n",
+    ])
+    def test_malformed_bodies_fail_alike(self, text):
+        assert assert_instance_paths_agree(text)[0] is ParseError
+
+    @pytest.mark.parametrize("mode,edge", [("cyclic", "0 1 2"), ("perm", "0 1 2 0 1")])
+    def test_resource_limit_comes_first_on_both_paths(self, mode, edge):
+        head = f"uginst 1\nmode {mode}\nq 3\nn {10**9}\ndensity full\n"
+        for body in (edge + "\n", "1 0 x\n"):
+            assert assert_instance_paths_agree(head + body)[0] is ResourceLimitError
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_serialized_instances_take_the_fast_path(self, rng, kind):
+        for _ in range(4):
+            g = rand_instance(rng, int(rng.integers(2, 9)), int(rng.integers(1, 6)), kind)
+            assert parse_instance_info(serialize_instance(g))[1] == "fast"
+            d = rand_dense(rng, 8, 3, kind, removals=4)
+            back, parser = parse_instance_info(serialize_instance(d))
+            assert back == d and parser == "fast"
+
+    @pytest.mark.parametrize("text", [
+        "ugassign 1\n0 2\n1 0\n2 1\n",
+        "ugassign 1\n2 1\n0 2\n1 0",
+        "ugassign 1\n0 000002\n1 0\n",
+        "ugassign 1 # x\n0 2\n1 0\n",
+        "ugassign 1\n0 +2\n1 0\n",
+        "ugassign 1\n0 2\n\n1 0\n",
+        "ugassign 1\r\n0 2\r\n1 0\r\n",
+        "ugassign 1\n0 9223372036854775807\n1 0\n",
+        "ugassign 1\n0 9223372036854775808\n1 0\n",
+        "ugassign 1\n0 99999999999999999999999\n1 -1\n",
+        "ugassign 1\n0 1\n0 2\n",
+        "ugassign 1\n0 1\n2 0\n",
+        "ugassign 1\n5 1\n",
+        "ugassign 1\n0 -1\n",
+        "ugassign 1\n0 1 2\n",
+        "ugassign 1\n0\n1 2 3\n",
+        "ugassign 1\n0 x\n",
+        "ugassign 1\n",
+        "ugassign 1\n\n",
+        "ugassign 2\n0 1\n",
+        "",
+    ])
+    def test_assignment_paths_agree(self, text):
+        assert_assignment_paths_agree(text)
+
 
 # ---------------------------------------------------------------------------
 # properties: exact round trips, and every corrupted edge or header line is a
@@ -355,6 +503,16 @@ class TestFormatProperties:
             with contextlib.redirect_stderr(io.StringIO()) as err:
                 assert main(["solve", path, "--alg", "pivot"]) == 3
             assert err.getvalue().startswith("error:")
+
+    @PROPERTY
+    @given(instances(), st.data())
+    def test_digit_edit_gives_the_reference_answer(self, g, data):
+        # edits inside the fast path's alphabet reach its masks, not only its gate
+        text = serialize_instance(g)
+        i = data.draw(st.integers(text.index("density"), len(text)))
+        j = data.draw(st.integers(i, min(len(text), i + 12)))
+        edit = data.draw(st.text("0123456789 \n", max_size=12))
+        assert_instance_paths_agree(text[:i] + edit + text[j:])
 
     @PROPERTY
     @given(instances(), st.data())
