@@ -55,6 +55,8 @@ FORMAT_VERSION = "1"
 # 10**18 < 2**63, so np.fromstring can neither overflow nor saturate on it
 _FAST_BYTES = b"0123456789 \n"
 _FAST_DIGITS = 18
+# rows per '%' pass when writing edge lines: bounds the transient Python ints
+_FORMAT_BLOCK = 1 << 14
 
 
 def serialize_instance(g):
@@ -77,9 +79,11 @@ def serialize_instance(g):
 
 
 def _format_rows(table):
-    """One text line per row of a 2-D integer table, one '%' for the lot."""
+    """One text line per row of a 2-D integer table, one '%' per block of
+    _FORMAT_BLOCK rows."""
     line = " ".join(["%d"] * table.shape[1]) + "\n"
-    return (line * len(table)) % tuple(table.ravel().tolist())
+    blocks = (table[i:i + _FORMAT_BLOCK] for i in range(0, len(table), _FORMAT_BLOCK))
+    return "".join((line * len(b)) % tuple(b.ravel().tolist()) for b in blocks)
 
 
 def _tokens(text):

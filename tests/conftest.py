@@ -6,7 +6,9 @@ bugs cannot cancel out in tests.  The per-pivot loop oracles further down run
 one numpy bincount per pivot and share no code with the blocked vote-count
 kernel they check, and the per-edge exhaustive search checks the
 split-and-multiply brute_force and, through the signed-graph reduction,
-brute_min_disagree2.
+brute_min_disagree2.  The triangle-certificate oracles keep the
+smallest-vertex mask loop and the sequential shuffle-and-skip packing that
+the middle-vertex masks and the round-based packing replaced.
 """
 
 import itertools
@@ -108,6 +110,56 @@ def brute_force_loop_oracle(g):
         a[j] = best_idx % q
         best_idx //= q
     return best_bad, a
+
+
+# ---------------------------------------------------------------------------
+# triangle-certificate loop oracles: masks anchored at the smallest vertex and
+# the sequential shuffle-and-skip packing, checked against the middle-vertex
+# masks and the round-based packing in test_certify.py
+# ---------------------------------------------------------------------------
+
+
+def inconsistent_masks_oracle(g):
+    """Yield (u, B) for every anchor u, where B[i, j] (i < j) marks the
+    triangle (u, u+1+i, u+1+j) as unsatisfiable with all three edges present:
+    the full (n-u-1)^2 table of implied labels, cut to its upper half."""
+    n = g.n
+    present = g.present_matrix() if isinstance(g, DenseInstance) else None
+    for u in range(n - 2):
+        rest = slice(u + 1, None)
+        bad = True
+        for c in _pivot_labels(g):
+            temp = g.implied(slice(u, u + 1), np.array([c]), rest)[0]
+            bad = bad & (g.implied(rest, temp, rest) != temp)
+        bad = np.triu(bad, k=1)
+        if present is not None:
+            pu = present[u, rest]
+            bad &= present[rest, rest] & pu[:, None] & pu[None, :]
+        yield u, bad
+
+
+def inconsistent_triangles_oracle(g):
+    """Lexicographic list of the inconsistent triangles, one anchor at a time."""
+    out = []
+    for u, bad in inconsistent_masks_oracle(g):
+        vs, ws = np.nonzero(bad)
+        out.extend((u, v, w) for v, w in zip((vs + u + 1).tolist(), (ws + u + 1).tolist()))
+    return out
+
+
+def packing_loop_oracle(g, seed):
+    """Shuffle the listed triangles with the seed's generator and keep each
+    one whose three edges are still unused; the kept triangles, sorted."""
+    tris = inconsistent_triangles_oracle(g)
+    np.random.default_rng(seed).shuffle(tris)
+    used = set()
+    packed = []
+    for u, v, w in tris:
+        edges = {(u, v), (u, w), (v, w)}
+        if used.isdisjoint(edges):
+            used |= edges
+            packed.append((u, v, w))
+    return sorted(packed)
 
 
 # ---------------------------------------------------------------------------

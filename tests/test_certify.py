@@ -1,19 +1,27 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from conftest import brute_oracle, rand_dense, rand_instance
+from conftest import (
+    brute_oracle,
+    inconsistent_triangles_oracle,
+    packing_loop_oracle,
+    rand_dense,
+    rand_instance,
+)
 
 from ugsolve.certify import (
+    PackingCertificate,
     dense_voting_bound,
     inconsistent_triangles,
     iter_inconsistent_triangles,
     triangle_packing_lb,
     voting_bound,
 )
-from ugsolve.core import UgInstance, triangle_consistent
+from ugsolve.core import DenseInstance, UgInstance, triangle_consistent
 from ugsolve.errors import OutOfRegimeError
-from ugsolve.generators import planted
+from ugsolve.generators import noise_model, planted
 
 KINDS = ["cyclic", "perm"]
 
@@ -117,6 +125,86 @@ class TestTrianglePacking:
     def test_single_bad_triangle(self, rng):
         g = planted(3, 3, 1, rng=2).instance
         assert triangle_packing_lb(g, rng=0).lower_bound == 1
+
+
+def _differential(g, seeds=(0, 1, 2)):
+    """Count, listing and packings against the loop oracles; the largest
+    number of packing rounds seen."""
+    expect = inconsistent_triangles_oracle(g)
+    assert inconsistent_triangles(g) == len(expect)
+    assert list(iter_inconsistent_triangles(g)) == expect
+    rounds = 0
+    for seed in seeds:
+        cert = triangle_packing_lb(g, rng=seed)
+        assert cert.triangles == packing_loop_oracle(g, seed)
+        assert cert.extra["inconsistent"] == len(expect)
+        rounds = max(rounds, cert.extra["rounds"])
+    return rounds
+
+
+class TestAgainstLoopOracles:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_complete(self, rng, kind):
+        for n, q in ((5, 2), (12, 3), (25, 4), (30, 5)):
+            _differential(rand_instance(rng, n, q, kind))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_dense(self, rng, kind):
+        for n in (6, 15, 30):
+            _differential(rand_dense(rng, n, 3, kind, removals=n * n // 8))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_q1_has_no_triangle(self, rng, kind):
+        g = rand_instance(rng, 9, 1, kind)
+        assert _differential(g) == 0
+        assert triangle_packing_lb(g).triangles == []
+
+    def test_planted(self):
+        for kind, seed in (("cyclic", 1), ("perm", 2)):
+            _differential(planted(40, 4, 30, kind=kind, rng=seed).instance)
+
+    @pytest.mark.parametrize("n, q, p", [(40, 3, 0.45), (60, 5, 0.3)])
+    def test_tie_heavy_noise_takes_many_rounds(self, n, q, p):
+        g = noise_model(n, q, p, rng=0).instance
+        assert _differential(g, seeds=(0, 1, 2, 3)) >= 5
+
+
+class TestCertificateEdgeCases:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_two_vertices(self, rng, kind):
+        g = rand_instance(rng, 2, 3, kind)
+        for h in (g, DenseInstance.wrap_complete(g)):
+            assert inconsistent_triangles(h) == 0
+            assert list(iter_inconsistent_triangles(h)) == []
+            cert = triangle_packing_lb(h, rng=3)
+            assert cert.triangles == [] and cert.lower_bound == 0
+            assert cert.extra["inconsistent"] == 0 and cert.extra["rounds"] == 0
+
+    def test_listing_and_packing_hold_python_ints(self, rng):
+        g = rand_instance(rng, 8, 3, "perm")
+        for tris in (list(iter_inconsistent_triangles(g)), triangle_packing_lb(g).triangles):
+            assert tris and all(type(x) is int for t in tris for x in t)
+
+    def test_permutation_orders_like_shuffle(self):
+        # the round-based packing reads its order from permutation(N); it
+        # equals the packing of shuffle(list) only while the two agree
+        for seed in range(5):
+            for size in (0, 1, 2, 7, 100, 5000):
+                items = list(range(size))
+                np.random.default_rng(seed).shuffle(items)
+                order = np.random.default_rng(seed).permutation(size)
+                assert order.tolist() == items
+
+    def test_extra_reports_phases_rounds_and_count(self, rng):
+        g = rand_instance(rng, 10, 3, "cyclic")
+        cert = triangle_packing_lb(g, rng=1)
+        assert set(cert.extra) == {"phases", "rounds", "inconsistent"}
+        assert set(cert.extra["phases"]) == {"list", "pack"}
+        assert all(t >= 0 for t in cert.extra["phases"].values())
+        assert cert.extra["rounds"] >= 1
+        assert cert.extra["inconsistent"] == inconsistent_triangles(g)
+        # equality ignores the timings
+        assert cert == PackingCertificate(triangles=cert.triangles, seed=1)
 
 
 class TestVotingBound:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ugsolve.bench import CSV_HEADER
+from ugsolve.certify import inconsistent_triangles, triangle_packing_lb
 from ugsolve.cli import main
 from ugsolve.core import DenseInstance, LinEqInstance, UgInstance, violated_count
 from ugsolve.fileio import read_assignment, read_instance, write_assignment, write_instance
@@ -260,12 +261,15 @@ class TestVerify:
 class TestCertify:
     def test_reports_count_and_bound(self, capsys, tmp_path):
         inst = tmp_path / "g.txt"
-        write_instance(planted(7, 3, 2, rng=3).instance, inst)
+        g = planted(7, 3, 2, rng=3).instance
+        write_instance(g, inst)
         code, out, _ = run(capsys, "certify", str(inst), "--val", "4")
         assert code == 0
         assert "inconsistent_triangles:" in out
         assert "packing_lower_bound:" in out
         assert "certified_ratio:" in out
+        assert f"inconsistent_triangles: {inconsistent_triangles(g)}\n" in out
+        assert f"packing_lower_bound: {triangle_packing_lb(g, rng=0).lower_bound}\n" in out
 
     def test_zero_bound_ratio_is_na(self, capsys, tmp_path):
         inst = tmp_path / "g.txt"

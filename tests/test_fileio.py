@@ -14,6 +14,7 @@ from ugsolve.cli import main
 from ugsolve.core import DenseInstance, LinEqInstance, UgInstance
 from ugsolve.errors import ParseError, ResourceLimitError
 from ugsolve.fileio import (
+    _FORMAT_BLOCK,
     parse_assignment,
     parse_instance,
     parse_instance_info,
@@ -24,6 +25,7 @@ from ugsolve.fileio import (
     write_assignment,
     write_instance,
 )
+from ugsolve.generators import planted
 
 KINDS = ["cyclic", "perm"]
 
@@ -50,6 +52,17 @@ class TestInstanceRoundTrip:
             assert isinstance(back, DenseInstance)
             assert back == d
             assert serialize_instance(back) == text
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_edge_lines_spanning_format_blocks_match_one_shot(self, kind):
+        g = planted(320, 3, 50, kind=kind, rng=1).instance
+        assert g.m > 3 * _FORMAT_BLOCK
+        eu, ev = g.edges()
+        values = g.offset_matrix()[eu, ev][:, None] if kind == "cyclic" else g.perm_tensor()[eu, ev]
+        table = np.column_stack((eu, ev, values))
+        line = " ".join(["%d"] * table.shape[1]) + "\n"
+        one_shot = (line * len(table)) % tuple(table.ravel().tolist())
+        assert serialize_instance(g).split("density full\n")[1] == one_shot
 
     def test_full_density_types(self, rng):
         g = rand_instance(rng, 5, 3, "cyclic")
