@@ -354,7 +354,7 @@ def main(argv=None):
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except ResourceLimitError as exc:
+    except (ResourceLimitError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except (UgsolveError, ValueError, OSError) as exc:

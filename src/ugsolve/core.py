@@ -67,21 +67,71 @@ def perm_invert(p):
     return inv
 
 
-def _identity(q):
-    return np.arange(q)
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
-def _check_nq(n, q):
-    n = int(n)
-    q = int(q)
-    if n < 2:
-        raise ValueError(f"need at least 2 vertices, got n={n}")
-    if q < 1:
-        raise ValueError(f"label count must be >= 1, got q={q}")
-    return n, q
+class _CompleteInstance:
+    """Shared body of the two complete-graph kinds.
+
+    The constraints live in one table ``_table`` indexed [u, v]: (n, n)
+    offsets for cyclic, (n, n, q) bijections for perm.  Only its u < v
+    entries are independent state, given as a dict or an array (see the
+    subclasses); the reverse orientation is derived from them.  A subclass
+    supplies its blank table, its value check and its reverse.
+    """
+
+    _noun = None  # "offset" or "perm", in error messages
+
+    def __init__(self, n, q, values):
+        n, q = int(n), int(q)
+        if n < 2:
+            raise ValueError(f"need at least 2 vertices, got n={n}")
+        if q < 1:
+            raise ValueError(f"label count must be >= 1, got q={q}")
+        self.n, self.q = n, q
+        table = self._blank(n, q)
+        iu, iv = np.triu_indices(n, k=1)
+        if isinstance(values, dict):
+            if len(values) != len(iu):
+                raise ValueError(f"expected {len(iu)} {self._noun}s, got {len(values)}")
+            for (u, v), value in values.items():
+                if not (0 <= u < v < n):
+                    raise ValueError(f"{self._noun} key ({u}, {v}) is not a pair with u < v")
+                table[u, v] = value
+        else:
+            arr = np.asarray(values)
+            if arr.shape != table.shape:
+                raise ValueError(f"{self._noun} array must have shape {table.shape}")
+            table[iu, iv] = arr[iu, iv]
+        fwd = table[iu, iv]
+        self._check(fwd)
+        table[iv, iu] = self._reverse(fwd)
+        self._table, self._eu, self._ev = _read_only(table, iu, iv)
+
+    @property
+    def m(self):
+        return len(self._eu)
+
+    def edges(self):
+        """Index arrays (u, v) of the pairs u < v in lexicographic order."""
+        return self._eu, self._ev
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, type(self))
+            and self.n == other.n
+            and self.q == other.q
+            and np.array_equal(self._table, other._table)
+        )
+
+    def __repr__(self):
+        return f"{type(self).__name__}(n={self.n}, q={self.q})"
 
 
-class LinEqInstance:
+class LinEqInstance(_CompleteInstance):
     """Complete-graph instance with cyclic (offset) constraints.
 
     ``offsets`` may be a mapping {(u, v): c} covering every pair u < v, or an
@@ -90,73 +140,44 @@ class LinEqInstance:
     """
 
     kind = "cyclic"
+    _noun = "offset"
 
-    def __init__(self, n, q, offsets):
-        self.n, self.q = _check_nq(n, q)
-        n, q = self.n, self.q
-        upper = np.zeros((n, n), dtype=np.int64)
-        if isinstance(offsets, dict):
-            if len(offsets) != n * (n - 1) // 2:
-                raise ValueError(
-                    f"expected {n * (n - 1) // 2} offsets, got {len(offsets)}"
-                )
-            for (u, v), c in offsets.items():
-                if not (0 <= u < v < n):
-                    raise ValueError(f"offset key ({u}, {v}) is not a pair with u < v")
-                upper[u, v] = c
-        else:
-            arr = np.asarray(offsets)
-            if arr.shape != (n, n):
-                raise ValueError(f"offset array must have shape ({n}, {n})")
-            iu, iv = np.triu_indices(n, k=1)
-            upper[iu, iv] = arr[iu, iv]
-        if upper.min() < 0 or upper.max() >= q:
-            raise ValueError(f"offsets must lie in [0, {q})")
-        # offset(v, u) = -offset(u, v) mod q, derived, never independent state
-        self._off = (upper - upper.T) % q
-        self._off.flags.writeable = False
-        self._eu, self._ev = np.triu_indices(n, k=1)
-        self._eu.flags.writeable = False
-        self._ev.flags.writeable = False
+    def __init__(self, n, q, offsets):  # keeps the public keyword name
+        super().__init__(n, q, offsets)
 
-    @property
-    def m(self):
-        return self.n * (self.n - 1) // 2
+    @staticmethod
+    def _blank(n, q):
+        return np.zeros((n, n), dtype=np.int64)
+
+    def _check(self, fwd):
+        if fwd.min() < 0 or fwd.max() >= self.q:
+            raise ValueError(f"offsets must lie in [0, {self.q})")
+
+    def _reverse(self, fwd):
+        # offset(v, u) = -offset(u, v) mod q, in place: fwd is not read again
+        np.negative(fwd, out=fwd)
+        fwd %= self.q
+        return fwd
 
     def offset(self, u, v):
         """Offset for the ordered pair (u, v); offset(v, u) is its negation mod q."""
         if u == v:
             raise ValueError("no self-loop offsets")
-        return int(self._off[u, v])
+        return int(self._table[u, v])
 
     def offset_matrix(self):
         """Read-only (n, n) matrix M with M[u, v] = offset(u, v)."""
-        return self._off
+        return self._table
 
     def implied(self, rows, labels, cols=slice(None)):
         """Labels the constraints force: entry [i, j] is the label cols[j]
         must take to satisfy its constraint with rows[i] when rows[i] takes
         labels[i].  ``rows`` is an index array or a slice, ``cols`` a slice;
         the diagonal (a vertex with itself) is the vertex's own label."""
-        return (labels[:, None] - self._off[rows, cols]) % self.q
-
-    def edges(self):
-        """Index arrays (u, v) of all pairs u < v in lexicographic order."""
-        return self._eu, self._ev
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LinEqInstance)
-            and self.n == other.n
-            and self.q == other.q
-            and np.array_equal(self._off, other._off)
-        )
-
-    def __repr__(self):
-        return f"LinEqInstance(n={self.n}, q={self.q})"
+        return (labels[:, None] - self._table[rows, cols]) % self.q
 
 
-class UgInstance:
+class UgInstance(_CompleteInstance):
     """Complete-graph instance with bijection (permutation) constraints.
 
     ``perms`` may be a mapping {(u, v): bijection} covering every pair u < v,
@@ -165,71 +186,40 @@ class UgInstance:
     """
 
     kind = "perm"
+    _noun = "perm"
 
-    def __init__(self, n, q, perms):
-        self.n, self.q = _check_nq(n, q)
-        n, q = self.n, self.q
-        tensor = np.tile(_identity(q), (n, n, 1))
-        iu, iv = np.triu_indices(n, k=1)
-        if isinstance(perms, dict):
-            if len(perms) != n * (n - 1) // 2:
-                raise ValueError(f"expected {n * (n - 1) // 2} perms, got {len(perms)}")
-            for (u, v), p in perms.items():
-                if not (0 <= u < v < n):
-                    raise ValueError(f"perm key ({u}, {v}) is not a pair with u < v")
-                tensor[u, v] = p
-        else:
-            arr = np.asarray(perms)
-            if arr.shape != (n, n, q):
-                raise ValueError(f"perm array must have shape ({n}, {n}, {q})")
-            tensor[iu, iv] = arr[iu, iv]
-        fwd = tensor[iu, iv]
-        if fwd.min() < 0 or fwd.max() >= q or not (np.sort(fwd, axis=1) == _identity(q)).all():
-            raise ValueError(f"each perm must be a bijection on [0, {q})")
-        # perm(v, u) = inverse of perm(u, v), derived, never independent state
+    def __init__(self, n, q, perms):  # keeps the public keyword name
+        super().__init__(n, q, perms)
+
+    @staticmethod
+    def _blank(n, q):
+        return np.tile(np.arange(q), (n, n, 1))
+
+    def _check(self, fwd):
+        if not (np.sort(fwd, axis=1) == np.arange(self.q)).all():
+            raise ValueError(f"each perm must be a bijection on [0, {self.q})")
+
+    def _reverse(self, fwd):
+        # perm(v, u) = inverse of perm(u, v)
         inv = np.empty_like(fwd)
-        rows = np.arange(fwd.shape[0])[:, None]
-        inv[rows, fwd] = _identity(q)[None, :]
-        tensor[iv, iu] = inv
-        self._perm = tensor
-        self._perm.flags.writeable = False
-        self._eu, self._ev = iu, iv
-        self._eu.flags.writeable = False
-        self._ev.flags.writeable = False
-
-    @property
-    def m(self):
-        return self.n * (self.n - 1) // 2
+        inv[np.arange(len(fwd))[:, None], fwd] = np.arange(self.q)
+        return inv
 
     def perm(self, u, v):
         """Bijection for the ordered pair (u, v); perm(v, u) is its inverse."""
         if u == v:
             raise ValueError("no self-loop perms")
-        return self._perm[u, v]
+        return self._table[u, v]
 
     def perm_tensor(self):
         """Read-only (n, n, q) tensor T with T[u, v] = perm(u, v); diagonal is identity."""
-        return self._perm
+        return self._table
 
     def implied(self, rows, labels, cols=slice(None)):
         """Labels the constraints force; see LinEqInstance.implied."""
         if isinstance(rows, slice):
             rows = np.arange(self.n)[rows]
-        return self._perm[rows, cols, labels]
-
-    def edges(self):
-        return self._eu, self._ev
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, UgInstance)
-            and self.n == other.n
-            and self.q == other.q
-            and np.array_equal(self._perm, other._perm)
-        )
-
-    def __repr__(self):
-        return f"UgInstance(n={self.n}, q={self.q})"
+        return self._table[rows, cols, labels]
 
 
 class DenseInstance:
@@ -245,7 +235,7 @@ class DenseInstance:
     """
 
     def __init__(self, base, present, max_delta=None):
-        if not isinstance(base, (LinEqInstance, UgInstance)):
+        if not isinstance(base, _CompleteInstance):
             raise ValueError(f"base must be a complete instance, got {type(base).__name__}")
         self.base = base
         n = base.n
@@ -266,14 +256,9 @@ class DenseInstance:
                 f"minimum degree {dmin} gives density slack {self.delta}, "
                 f"above the allowed {max_delta}"
             )
-        self._present = mask.copy()
-        self._present.flags.writeable = False
-        self._degrees = degrees
-        self._degrees.flags.writeable = False
-        iu, iv = np.nonzero(np.triu(self._present, k=1))
-        self._eu, self._ev = iu, iv
-        self._eu.flags.writeable = False
-        self._ev.flags.writeable = False
+        self._present, self._degrees, self._eu, self._ev = _read_only(
+            mask.copy(), degrees, *np.nonzero(np.triu(mask, k=1))
+        )
 
     @classmethod
     def wrap_complete(cls, base):
@@ -293,9 +278,9 @@ class DenseInstance:
     def kind(self):
         return self.base.kind
 
-    @property
-    def m(self):
-        return len(self._eu)
+    # m and edges() read the present pairs
+    m = _CompleteInstance.m
+    edges = _CompleteInstance.edges
 
     def present(self, u, v):
         return bool(self._present[u, v])
@@ -311,28 +296,17 @@ class DenseInstance:
         them with present_matrix()."""
         return self.base.implied(rows, labels, cols)
 
-    def edges(self):
-        """Index arrays (u, v) of present pairs u < v in lexicographic order."""
-        return self._eu, self._ev
-
     def __eq__(self, other):
         # equality looks only at structure that is semantically live:
         # absent-pair constraints in the base are ignored
-        if not (
+        edges = self.edges()
+        return (
             isinstance(other, DenseInstance)
             and self.n == other.n
             and self.q == other.q
             and self.kind == other.kind
             and np.array_equal(self._present, other._present)
-        ):
-            return False
-        eu, ev = self.edges()
-        if self.kind == "cyclic":
-            return np.array_equal(
-                self.base.offset_matrix()[eu, ev], other.base.offset_matrix()[eu, ev]
-            )
-        return np.array_equal(
-            self.base.perm_tensor()[eu, ev], other.base.perm_tensor()[eu, ev]
+            and np.array_equal(self.base._table[edges], other.base._table[edges])
         )
 
     def __repr__(self):
@@ -431,7 +405,7 @@ def triangle_consistent(g, u, v, w):
         M = base.offset_matrix()
         return int(M[u, v] + M[v, w] + M[w, u]) % base.q == 0
     comp = perm_compose(base.perm(w, u), perm_compose(base.perm(v, w), base.perm(u, v)))
-    return bool((comp == _identity(base.q)).any())
+    return bool((comp == np.arange(base.q)).any())
 
 
 def to_square_instance(g):

@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
 The CLI maps these onto process exit codes: usage errors exit 2 (argparse),
-ParseError and ValueError exit 3, ResourceLimitError exit 4.
+ParseError and ValueError exit 3, ResourceLimitError and MemoryError exit 4.
 """
 
 

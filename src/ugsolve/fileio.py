@@ -57,6 +57,7 @@ _FAST_BYTES = b"0123456789 \n"
 _FAST_DIGITS = 18
 # rows per '%' pass when writing edge lines: bounds the transient Python ints
 _FORMAT_BLOCK = 1 << 14
+_KINDS = {"cyclic": LinEqInstance, "perm": UgInstance}
 
 
 def serialize_instance(g):
@@ -71,10 +72,7 @@ def serialize_instance(g):
         f"density {'dense' if dense else 'full'}",
     ]
     eu, ev = g.edges()
-    if base.kind == "cyclic":
-        values = base.offset_matrix()[eu, ev][:, None]
-    else:
-        values = base.perm_tensor()[eu, ev]
+    values = base._table[eu, ev].reshape(g.m, -1)  # one offset, or q perm entries
     return "\n".join(lines) + "\n" + _format_rows(np.column_stack((eu, ev, values)))
 
 
@@ -190,13 +188,12 @@ def parse_instance(text):
     return parse_instance_info(text)[0]
 
 
-def parse_instance_info(text, fast=True):
+def parse_instance_info(text):
     """parse_instance, and which path read the edge lines: "fast" (whole-array
     numpy passes) or "reference" (token by token).  The fast path takes only
     files whose edge lines it can check exactly; it hands any other file, and
-    any failing check, to the reference path, which raises the errors.
-    ``fast=False`` reads every file token by token."""
-    split = _plain_split(text, 5) if fast else None
+    any failing check, to the reference path, which raises the errors."""
+    split = _plain_split(text, 5)
     rows = _tokens(text if split is None else split[0])
 
     def next_line(what):
@@ -211,7 +208,7 @@ def parse_instance_info(text, fast=True):
         raise ParseError(f"unsupported format version {magic[0]!r}", lineno=lineno)
     lineno, tok = next_line("mode header")
     (mode,) = _expect_header(tok, lineno, "mode")
-    if mode not in ("cyclic", "perm"):
+    if mode not in _KINDS:
         raise ParseError(f"mode must be 'cyclic' or 'perm', got {mode!r}", lineno=lineno)
     lineno, tok = next_line("q header")
     q = _parse_int(_expect_header(tok, lineno, "q")[0], lineno, "q")
@@ -231,10 +228,7 @@ def parse_instance_info(text, fast=True):
                          lineno=lineno)
 
     try:
-        if mode == "cyclic":
-            offsets = np.zeros((n, n), dtype=np.int64)
-        else:
-            tensor = np.tile(np.arange(q), (n, n, 1))
+        values = _KINDS[mode]._blank(n, q)
         present = np.zeros((n, n), dtype=bool)
     except (MemoryError, ValueError, OverflowError):
         # numpy refuses sizes beyond its index range with ValueError or
@@ -242,9 +236,8 @@ def parse_instance_info(text, fast=True):
         raise ResourceLimitError(
             f"an instance with n={n}, q={q} does not fit in memory"
         ) from None
-    want = 2 + (1 if mode == "cyclic" else q)
+    want = 2 + (q if values.ndim == 3 else 1)
     table = None if split is None else _digit_table(split[1], want)
-    values = offsets if mode == "cyclic" else tensor
     parser = "reference"
     if table is not None and _fill_edges(table, n, q, values, present):
         parser, rows = "fast", ()
@@ -265,22 +258,17 @@ def parse_instance_info(text, fast=True):
         vals = [_parse_int(t, lineno, "constraint value") for t in tok[2:]]
         if any(not 0 <= x < q for x in vals):
             raise ParseError(f"constraint values must lie in [0, {q})", lineno=lineno)
-        if mode == "cyclic":
-            offsets[u, v] = vals[0]
-        else:
-            if sorted(vals) != list(range(q)):
-                raise ParseError("permutation line is not a bijection", lineno=lineno)
-            tensor[u, v] = vals
+        if values.ndim == 3 and sorted(vals) != list(range(q)):
+            raise ParseError("permutation line is not a bijection", lineno=lineno)
+        values[u, v] = vals if values.ndim == 3 else vals[0]
 
     m_full = n * (n - 1) // 2
     count = int(np.count_nonzero(np.triu(present, 1)))
     if density == "full" and count != m_full:
         raise ParseError(f"density full requires {m_full} edge lines, found {count}")
     try:
-        base = LinEqInstance(n, q, offsets) if mode == "cyclic" else UgInstance(n, q, tensor)
+        base = _KINDS[mode](n, q, values)
         return (base if density == "full" else DenseInstance(base, present)), parser
-    except ParseError:
-        raise
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 
@@ -310,12 +298,12 @@ def _labels_by_vertex(table):
     return labels
 
 
-def parse_assignment(text, fast=True):
+def parse_assignment(text):
     """Text to a label vector; every vertex 0..n-1 must appear exactly once.
 
-    Files of ASCII digits take whole-array passes unless ``fast=False``;
-    every other file, and every error, is read token by token."""
-    split = _plain_split(text, 1) if fast else None
+    Files of ASCII digits take whole-array passes; every other file, and
+    every error, is read token by token."""
+    split = _plain_split(text, 1)
     rows = _tokens(text if split is None else split[0])
     try:
         lineno, tok = next(rows)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import DenseInstance, LinEqInstance, UgInstance, as_generator
 from .errors import GadgetGenerationError
-from .solvers import brute_force
+from .solvers import _digits, _require_complete, brute_force
 
 __all__ = [
     "PlantedInstance",
@@ -152,8 +152,7 @@ def tight_pivot_example(n, q):
 def sparsify_everywhere_dense(g, delta, rng=None):
     """Remove uniformly random edges from a complete instance while keeping
     every degree at least ceil((1-delta)(n-1))."""
-    if isinstance(g, DenseInstance):
-        raise ValueError("sparsify takes a complete instance")
+    _require_complete(g, "sparsify_everywhere_dense")
     if not 0 <= delta < 1:
         raise ValueError("delta must lie in [0, 1)")
     gen = as_generator(rng)
@@ -390,11 +389,7 @@ def _gadget_stats_exhaustive(offsets, q):
     for start in range(0, total, block):
         idx = np.arange(start, min(start + block, total), dtype=np.int64)
         b = len(idx)
-        A = np.zeros((b, ell), dtype=np.int64)
-        rest = idx
-        for i in range(ell - 1, -1, -1):
-            A[:, i] = rest % q
-            rest = rest // q
+        A = _digits(idx, [q] * ell)
         # want[s, i, j] = right label making arc (i, j) satisfied
         want = (A[:, :, None] - offsets[None, :, :]) % q
         flat = (q * ell * np.arange(b)[:, None, None] + cell[None, None, :] + want).ravel()

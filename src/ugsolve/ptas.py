@@ -7,14 +7,15 @@ the greedy solver, with the regime diagnostics recorded in the report.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
-from .core import DenseInstance, SolveReport, _pivot_labels, as_generator, violated_count
-from .solvers import voting_solve
+from .core import SolveReport, _pivot_labels, as_generator, violated_count
+from .solvers import _require_complete, voting_solve
 
 __all__ = ["PtasConfig", "greedy_max", "ptas_solve"]
 
@@ -23,8 +24,8 @@ DEFAULT_GREEDY_RESTARTS = 5
 
 @dataclass
 class PtasConfig:
-    """Driver parameters: target relative error tau > 0, RNG seed, and the
-    number of random greedy orders to try."""
+    """Driver parameters: finite target relative error tau > 0, RNG seed,
+    and the number of random greedy orders to try."""
 
     tau: float
     seed: int = 0
@@ -33,6 +34,8 @@ class PtasConfig:
     def __post_init__(self):
         if not self.tau > 0:
             raise ValueError("tau must be positive")
+        if not math.isfinite(self.tau):
+            raise ValueError("tau must be finite")
         if self.greedy_restarts < 1:
             raise ValueError("greedy_restarts must be >= 1")
 
@@ -60,8 +63,7 @@ def greedy_max(g, rng=None, restarts=DEFAULT_GREEDY_RESTARTS):
     assignment never changes its cost); permutation instances try every label
     for the first vertex, since no single starting label is safe there.
     Deterministic given (instance, seed, restarts)."""
-    if isinstance(g, DenseInstance):
-        raise ValueError("greedy_max takes a complete instance")
+    _require_complete(g, "greedy_max")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     gen = as_generator(rng)
@@ -99,8 +101,7 @@ def ptas_solve(g, cfg):
     2*nu_hat*(2+nu_hat)*eps_hat < tau holds (when it does, the voting value
     is already within (1+tau) of the optimum; otherwise the greedy branch
     covers the high-noise regime)."""
-    if isinstance(g, DenseInstance):
-        raise ValueError("ptas_solve takes a complete instance")
+    _require_complete(g, "ptas_solve")
     start = time.perf_counter()
     vote = voting_solve(g)
     greedy = greedy_max(g, rng=cfg.seed, restarts=cfg.greedy_restarts)

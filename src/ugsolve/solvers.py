@@ -588,8 +588,8 @@ def flip_diagnostics(g, optimum):
     final = _voting_final(g, pivot, label)
     opt_v = int(red.sum()) // 2
     eps = Fraction(opt_v, m)
-    threshold = Fraction(n - 1, 2) - eps * (n - 1)
-    flippable = np.array([Fraction(int(r)) >= threshold for r in red])
+    # red >= (n-1)/2 - eps*(n-1), times 2m > 0
+    flippable = 2 * m * red >= (n - 1) * (m - 2 * opt_v)
     flipped = final != opt
     in_regime = eps < Fraction(1, 2)
     return FlipDiagnostics(

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from ugsolve import cli
 from ugsolve.bench import CSV_HEADER
 from ugsolve.certify import inconsistent_triangles, triangle_packing_lb
 from ugsolve.cli import main
@@ -134,6 +135,19 @@ class TestGen:
         )
         assert code == 3 and "error:" in err
 
+    def test_memory_error_exit_code(self, capsys, tmp_path, monkeypatch):
+        # stands in for numpy refusing an allocation; no large array is made
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 372. TiB for an array")
+
+        monkeypatch.setattr(cli, "planted", refuse)
+        code, _, err = run(
+            capsys, "gen", "planted", "--n", "10000000", "--q", "2",
+            "-o", str(tmp_path / "g.txt"),
+        )
+        assert code == 4 and err.startswith("error: Unable to allocate")
+        assert not (tmp_path / "g.txt").exists()
+
 
 class TestSolve:
     @pytest.fixture()
@@ -209,6 +223,12 @@ class TestSolve:
         path.write_text("uginst 1\nmode cyclic\nq 3\nn 1000000000\ndensity full\n0 1 2\n")
         code, _, err = run(capsys, "solve", str(path), "--alg", "pivot")
         assert code == 4 and "n=1000000000, q=3" in err
+
+    def test_ptas_infinite_tau_exit_code(self, capsys, instance_path):
+        code, _, err = run(
+            capsys, "solve", str(instance_path), "--alg", "ptas", "--tau", "inf",
+        )
+        assert code == 3 and err == "error: tau must be finite\n"
 
     def test_brute_limit_exit_code(self, capsys, instance_path):
         code, _, err = run(

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import rand_dense, rand_lineq, rand_ug, violated_oracle
+from conftest import rand_dense, rand_instance, rand_lineq, rand_ug, violated_oracle
 
 from ugsolve.core import (
     DenseInstance,
@@ -186,6 +186,88 @@ class TestDenseInstance:
         b = LinEqInstance(n, q, np.triu(other, 1))
         assert DenseInstance(a, mask) == DenseInstance(b, mask)
         assert a != b
+
+
+COMPLETE = [("cyclic", LinEqInstance, "offset"), ("perm", UgInstance, "perm")]
+
+
+def _identity_table(kind, n, q):
+    """A valid table of the kind: zero offsets, or identity bijections."""
+    if kind == "cyclic":
+        return np.zeros((n, n), dtype=np.int64)
+    return np.tile(np.arange(q), (n, n, 1))
+
+
+class TestCompleteInstance:
+    """The constructor and methods both complete kinds share."""
+
+    @pytest.mark.parametrize("kind, cls, noun", COMPLETE)
+    def test_constructor_error_texts(self, kind, cls, noun):
+        value = _identity_table(kind, 3, 2)[0, 1]
+        cases = [
+            ({(0, 1): value}, f"expected 3 {noun}s, got 1"),
+            ({(0, 1): value, (1, 0): value, (1, 2): value},
+             f"{noun} key (1, 0) is not a pair with u < v"),
+            (_identity_table(kind, 4, 2), f"{noun} array must have shape "
+             + ("(3, 3)" if kind == "cyclic" else "(3, 3, 2)")),
+        ]
+        for values, text in cases:
+            with pytest.raises(ValueError) as exc:
+                cls(3, 2, values)
+            assert str(exc.value) == text
+
+    @pytest.mark.parametrize("kind, cls, noun", COMPLETE)
+    def test_lower_triangle_and_diagonal_of_input_ignored(self, rng, kind, cls, noun):
+        n, q = 5, 3
+        g = rand_instance(rng, n, q, kind)
+        table = g.offset_matrix() if kind == "cyclic" else g.perm_tensor()
+        junk = table.copy()
+        il, jl = np.tril_indices(n)
+        junk[il, jl] = 7  # out of range, and not a bijection
+        assert cls(n, q, junk) == g
+
+    @pytest.mark.parametrize("kind, cls, noun", COMPLETE)
+    def test_edges_lexicographic_and_m(self, kind, cls, noun):
+        n = 5
+        g = cls(n, 2, _identity_table(kind, n, 2))
+        eu, ev = g.edges()
+        pairs = list(zip(eu.tolist(), ev.tolist()))
+        assert pairs == sorted((u, v) for u in range(n) for v in range(u + 1, n))
+        assert g.m == len(pairs) == 10
+
+    @pytest.mark.parametrize("kind, cls, noun", COMPLETE)
+    def test_self_loop_accessor_raises(self, rng, kind, cls, noun):
+        g = rand_instance(rng, 4, 3, kind)
+        accessor = g.offset if kind == "cyclic" else g.perm
+        with pytest.raises(ValueError) as exc:
+            accessor(1, 1)
+        assert str(exc.value) == f"no self-loop {noun}s"
+
+    @pytest.mark.parametrize("kind, cls, noun", COMPLETE)
+    def test_repr(self, kind, cls, noun):
+        g = cls(3, 2, _identity_table(kind, 3, 2))
+        assert repr(g) == f"{cls.__name__}(n=3, q=2)"
+
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_kinds_are_never_equal(self, q):
+        a = LinEqInstance(3, q, _identity_table("cyclic", 3, q))
+        b = UgInstance(3, q, _identity_table("perm", 3, q))
+        assert a != b and b != a
+        assert DenseInstance.wrap_complete(a) != DenseInstance.wrap_complete(b)
+
+    def test_dense_perm_equality_ignores_absent_constraints(self, rng):
+        n, q = 5, 3
+        a = rand_ug(rng, n, q)
+        mask = ~np.eye(n, dtype=bool)
+        mask[1, 3] = mask[3, 1] = False
+        other = a.perm_tensor().copy()
+        other[1, 3] = np.roll(other[1, 3], 1)  # touch only the absent pair
+        b = UgInstance(n, q, other)
+        assert DenseInstance(a, mask) == DenseInstance(b, mask)
+        assert a != b
+        mask2 = mask.copy()
+        mask2[1, 3] = mask2[3, 1] = True
+        assert DenseInstance(a, mask2) != DenseInstance(b, mask2)
 
 
 def implied_oracle(g, u, label, v):

@@ -3,6 +3,7 @@ import io
 import itertools
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from conftest import rand_dense, rand_instance
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ugsolve import fileio
 from ugsolve.cli import main
 from ugsolve.core import DenseInstance, LinEqInstance, UgInstance
 from ugsolve.errors import ParseError, ResourceLimitError
@@ -241,11 +243,20 @@ def _outcome(parse, text):
         return None, (type(exc), str(exc), getattr(exc, "lineno", None))
 
 
+def _reference(parse):
+    """``parse`` forced onto the per-token path: with no plain header split,
+    every file is read token by token."""
+    def run(text):
+        with mock.patch.object(fileio, "_plain_split", return_value=None):
+            return parse(text)
+    return run
+
+
 def assert_instance_paths_agree(text, parser=None):
     """Both paths give the same instance or the same error, which is
     returned; ``parser`` names the path that must have run."""
     fast, fast_error = _outcome(parse_instance_info, text)
-    ref, ref_error = _outcome(lambda t: parse_instance_info(t, fast=False), text)
+    ref, ref_error = _outcome(_reference(parse_instance_info), text)
     assert fast_error == ref_error
     if ref is not None:
         assert type(fast[0]) is type(ref[0]) and fast[0] == ref[0]
@@ -255,7 +266,7 @@ def assert_instance_paths_agree(text, parser=None):
 
 def assert_assignment_paths_agree(text):
     fast, fast_error = _outcome(parse_assignment, text)
-    ref, ref_error = _outcome(lambda t: parse_assignment(t, fast=False), text)
+    ref, ref_error = _outcome(_reference(parse_assignment), text)
     assert fast_error == ref_error
     if ref is not None:
         assert fast.dtype == ref.dtype and np.array_equal(fast, ref)

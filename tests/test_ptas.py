@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +25,12 @@ class TestPtasConfig:
             PtasConfig(tau=-1.0)
         with pytest.raises(ValueError):
             PtasConfig(tau=0.5, greedy_restarts=0)
+
+    def test_rejects_non_finite_tau(self):
+        with pytest.raises(ValueError, match="tau must be finite"):
+            PtasConfig(tau=math.inf)
+        with pytest.raises(ValueError):
+            PtasConfig(tau=math.nan)
 
 
 class TestGreedyMax:
