@@ -83,12 +83,12 @@ class BenchRow:
     q: int
     delta: float
     seed: int
-    corruptions: int | None
-    opt_or_lb: int | None
-    opt_exact: bool | None
-    val: int | None
-    ratio: float | None
-    elapsed_ms: float | None
+    corruptions: int | None = None
+    opt_or_lb: int | None = None
+    opt_exact: bool | None = None
+    val: int | None = None
+    ratio: float | None = None
+    elapsed_ms: float | None = None
     error: str = ""
 
 
@@ -167,62 +167,31 @@ def _ratio(val, ref):
     return 1.0 if val == 0 else None
 
 
-def _cell_rows(family, n, q, delta, frac, seed, cell_index, algorithms, tau, brute_limit):
-    common = dict(n=n, q=q, delta=delta, seed=seed)
+def _cell_rows(family, n, q, delta, frac, seed, cell_index, algorithms, brute_limit):
+    def row(alg, exc=None, **fields):
+        error = "" if exc is None else f"{type(exc).__name__}: {exc}"
+        return BenchRow(alg, n, q, delta, seed, **fields, error=error)
+
     try:
         inst, corr = _make_instance(family, n, q, delta, frac, seed, cell_index)
     except Exception as exc:
-        return [
-            BenchRow(
-                algorithm=alg,
-                corruptions=None,
-                opt_or_lb=None,
-                opt_exact=None,
-                val=None,
-                ratio=None,
-                elapsed_ms=None,
-                error=f"{type(exc).__name__}: {exc}",
-                **common,
-            )
-            for alg in algorithms
-        ]
+        return [row(alg, exc) for alg in algorithms]
     try:
         opt = brute_force(inst, limit=brute_limit).violated
         exact = True
     except ResourceLimitError:
         opt = triangle_packing_lb(inst, rng=_spawned(seed, cell_index, 2)).lower_bound
         exact = False
+    known = dict(corruptions=corr, opt_or_lb=opt, opt_exact=exact)
     rows = []
     for alg_index, alg in enumerate(algorithms):
         solver_seed = _spawned_int(seed, cell_index, 10 + alg_index)
         try:
-            rep = run_algorithm(alg, inst, solver_seed, tau=tau, brute_limit=brute_limit)
-            rows.append(
-                BenchRow(
-                    algorithm=alg,
-                    corruptions=corr,
-                    opt_or_lb=opt,
-                    opt_exact=exact,
-                    val=rep.violated,
-                    ratio=_ratio(rep.violated, opt),
-                    elapsed_ms=rep.elapsed * 1000.0,
-                    **common,
-                )
-            )
+            rep = run_algorithm(alg, inst, solver_seed, brute_limit=brute_limit)
+            rows.append(row(alg, val=rep.violated, ratio=_ratio(rep.violated, opt),
+                            elapsed_ms=rep.elapsed * 1000.0, **known))
         except Exception as exc:
-            rows.append(
-                BenchRow(
-                    algorithm=alg,
-                    corruptions=corr,
-                    opt_or_lb=opt,
-                    opt_exact=exact,
-                    val=None,
-                    ratio=None,
-                    elapsed_ms=None,
-                    error=f"{type(exc).__name__}: {exc}",
-                    **common,
-                )
-            )
+            rows.append(row(alg, exc, **known))
     return rows
 
 
@@ -235,7 +204,6 @@ def run_bench(
     seeds=(0,),
     *,
     family="planted",
-    tau=0.5,
     brute_limit=DEFAULT_BENCH_BRUTE_LIMIT,
     threads=None,
 ):
@@ -249,7 +217,7 @@ def run_bench(
         raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
     cells = list(product(ns, qs, deltas, corrupt_fracs))
     tasks = [
-        (family, n, q, delta, frac, seed, cell_index, algorithms, tau, brute_limit)
+        (family, n, q, delta, frac, seed, cell_index, algorithms, brute_limit)
         for cell_index, (n, q, delta, frac) in enumerate(cells)
         for seed in seeds
     ]

@@ -186,6 +186,8 @@ def cmd_verify(args):
 
 
 def cmd_certify(args):
+    if args.val is not None and args.val < 0:
+        raise ValueError(f"--val must be >= 0, got {args.val}")
     g = read_instance(args.instance)
     cert = triangle_packing_lb(g, rng=args.seed)
     print(f"inconsistent_triangles: {cert.extra['inconsistent']}")
@@ -207,7 +209,6 @@ def cmd_bench(args):
         corrupt_fracs=args.corrupt_frac,
         seeds=args.seeds,
         family=args.family,
-        tau=args.tau,
         brute_limit=args.brute_limit,
         threads=args.threads,
     )
@@ -336,7 +337,6 @@ def build_parser():
     p.add_argument("--corrupt-frac", nargs="+", type=float, default=[0.0])
     p.add_argument("--seeds", nargs="+", type=int, default=[0])
     p.add_argument("--family", choices=FAMILIES, default="planted")
-    p.add_argument("--tau", type=float, default=0.5)
     p.add_argument("--brute-limit", type=int, default=DEFAULT_BENCH_BRUTE_LIMIT)
     p.add_argument("--threads", type=int, default=None,
                    help="worker cap (default: UGSOLVE_THREADS or CPU count)")

@@ -421,18 +421,14 @@ def to_square_instance(g):
     n, q = g.n, g.q
     if n < 3:
         raise ValueError("square transform needs n >= 3")
-    # solvers builds on this module, so its kernel is imported at call time
-    from .solvers import CAND_BLOCK, _vote_counts, _voting_labels
+    # solvers builds on this module, so its candidate walk is imported at
+    # call time
+    from .solvers import _candidate_blocks, _voting_labels
 
-    C = g.offset_matrix()
     upper = np.zeros((n, n), dtype=np.int64)
-    for start in range(0, n, CAND_BLOCK):
-        pivots = np.arange(start, min(start + CAND_BLOCK, n))
-        # voting from pivot v counts, for every u, the two-step offsets
-        # offset(u, w) + offset(w, v); below the pivot its labels are the
-        # modes with the degenerate paths w == u and w == v left out
-        temp = C[:, pivots].T
-        counts = _vote_counts(g, temp)
-        labels = _voting_labels(counts, temp, pivots, np.zeros_like(pivots), True)
-        upper[:, pivots] = labels.T
+    # voting from pivot v at label 0 counts, for every u, the two-step
+    # offsets offset(u, w) + offset(w, v); below the pivot its labels are the
+    # modes with the degenerate paths w == u and w == v left out
+    for pivots, labels, temp, counts in _candidate_blocks(g):
+        upper[:, pivots] = _voting_labels(counts, temp, pivots, labels, True).T
     return LinEqInstance(n, q, np.triu(upper, k=1))

@@ -337,6 +337,10 @@ class GadgetSpec:
             raise ValueError("need ell > q and ell a multiple of q")
         if self.beta <= 0:
             raise ValueError("beta must be positive")
+        if self.max_attempts < 1:
+            raise ValueError("max_attempts must be >= 1")
+        if self.samples < 1:
+            raise ValueError("samples must be >= 1")
 
 
 @dataclass

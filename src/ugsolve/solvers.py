@@ -99,7 +99,7 @@ def _vote_counts(g, X):
 
     The two layouts stay separate on purpose: the cyclic right tile is one
     one-hot slice per offset, q times smaller than the label-extended tile
-    the permutation kind needs.
+    the permutation kind reads through ``implied``.
     """
     base = g.base if isinstance(g, DenseInstance) else g
     present = g.present_matrix() if isinstance(g, DenseInstance) else None
@@ -124,15 +124,16 @@ def _vote_counts(g, X):
             for a in range(q):
                 np.matmul(left[:, a : a + q].reshape(r, q * n), right, out=R[:, a, tile])
     else:
-        P = base.perm_tensor()
         left = (X[:, :, None] == labels).astype(np.float32).reshape(r, n * q)
+        rows = np.repeat(np.arange(n), q)
+        labs = np.tile(labels, n)
         for start in range(0, n, VOTER_BLOCK):
             tile = slice(start, min(start + VOTER_BLOCK, n))
             b = tile.stop - start
             # right[(u, c), (a, v)] = [perm(u, v) maps c to a]
-            right = P[:, tile, :].transpose(0, 2, 1)[:, :, None, :] == labels[:, None]
+            right = g.implied(rows, labs, tile)[:, None, :] == labels[:, None]
             if present is not None:
-                right &= present[:, None, None, tile]
+                right &= present[rows, None, tile]
             right = right.astype(np.float32).reshape(n * q, q * b)
             R[:, :, tile] = (left @ right).reshape(r, q, b)
     return R
@@ -181,59 +182,69 @@ def _violations(g, X, counts):
     return g.m - (agree - self_votes) // 2
 
 
-def _all_pivots(g, select):
-    """Best candidate over every pivot (every pivot label for the permutation
-    kind), CAND_BLOCK candidates at a time in (pivot, label) order; the first
-    strict minimum wins.
+def _pivot_block(g):
+    """Pivots per candidate block: CAND_BLOCK candidates, or one pivot's
+    labels when it has more."""
+    return max(1, CAND_BLOCK // len(_pivot_labels(g)))
+
+
+def _candidate_blocks(g):
+    """Walk every pivot (every pivot label for the permutation kind) through
+    the vote-count kernel, _pivot_block(g) pivots at a time in (pivot, label)
+    order: yields each block's (pivots, pivot_labels, temp, counts), its
+    propagated assignments and their vote counts."""
+    per_pivot = len(_pivot_labels(g))
+    step = _pivot_block(g)
+    for start in range(0, g.n, step):
+        pivots = np.repeat(np.arange(start, min(start + step, g.n)), per_pivot)
+        pivot_labels = np.tile(np.arange(per_pivot), len(pivots) // per_pivot)
+        temp = _propagate(g, pivots, pivot_labels)
+        yield pivots, pivot_labels, temp, _vote_counts(g, temp)
+
+
+def _all_pivots(g, algorithm, select):
+    """Best candidate of the candidate walk; the first strict minimum wins.
 
     ``select(pivots, pivot_labels, temp, counts)`` maps one block's
     propagated assignments and their vote counts to (assignments, violated
-    counts).  Returns (violated, pivot, label, assignment) and the report's
-    kernel and phase metadata."""
-    n = g.n
-    dense = isinstance(g, DenseInstance)
-    per_pivot = len(_pivot_labels(g))
-    step = max(1, CAND_BLOCK // per_pivot)
+    counts).  The report's extra holds the kernel metadata and the seconds
+    spent in the walk (``counts``) and in ``select``."""
     phases = {"counts": 0.0, "select": 0.0}
     best = None
-    for start in range(0, n, step):
-        t0 = time.perf_counter()
-        pivots = np.repeat(np.arange(start, min(start + step, n)), per_pivot)
-        pivot_labels = np.tile(np.arange(per_pivot), len(pivots) // per_pivot)
-        temp = _propagate(g, pivots, pivot_labels)
-        counts = _vote_counts(g, temp)
-        t1 = time.perf_counter()
+    t0 = t1 = time.perf_counter()
+    for pivots, pivot_labels, temp, counts in _candidate_blocks(g):
+        t2 = time.perf_counter()
         assign, bad = select(pivots, pivot_labels, temp, counts)
         i = int(np.argmin(bad))
         if best is None or bad[i] < best[0]:
             best = (int(bad[i]), int(pivots[i]), int(pivot_labels[i]), assign[i].copy())
-        phases["counts"] += t1 - t0
-        phases["select"] += time.perf_counter() - t1
+        phases["counts"] += t2 - t1
+        t1 = time.perf_counter()
+        phases["select"] += t1 - t2
+    bad, p, l, a = best
     kernel = {
-        "path": f"{g.kind}-{'dense' if dense else 'complete'}",
+        "path": f"{g.kind}-{'dense' if isinstance(g, DenseInstance) else 'complete'}",
         "dtype": "float32",
-        "pivot_block": step,
+        "pivot_block": _pivot_block(g),
         "voter_block": VOTER_BLOCK,
     }
-    return best, {"kernel": kernel, "phases": phases}
+    return SolveReport(
+        assignment=a,
+        violated=bad,
+        algorithm=algorithm,
+        pivot=p,
+        pivot_label=l,
+        elapsed=time.perf_counter() - t0,
+        extra={"kernel": kernel, "phases": phases},
+    )
 
 
 def pivot_best(g):
     """Run pivot propagation from every pivot (every pivot label for the
     permutation kind) and keep the assignment violating fewest constraints."""
     _require_complete(g, "pivot_best")
-    t0 = time.perf_counter()
-    (bad, p, l, a), extra = _all_pivots(
-        g, lambda pivots, labels, temp, counts: (temp, _violations(g, temp, counts))
-    )
-    return SolveReport(
-        assignment=a,
-        violated=bad,
-        algorithm="pivot",
-        pivot=p,
-        pivot_label=l,
-        elapsed=time.perf_counter() - t0,
-        extra=extra,
+    return _all_pivots(
+        g, "pivot", lambda pivots, labels, temp, counts: (temp, _violations(g, temp, counts))
     )
 
 
@@ -251,7 +262,7 @@ def _random_pivot(g, rng, algorithm, round_):
     seed = rng if isinstance(rng, (int, np.integer)) else None
     p = int(as_generator(rng).integers(g.n))
     if g.n == 2 and round_ is _voting_final:
-        return _pivot_fallback(g, algorithm, t0, seed)
+        return _pivot_fallback(g, algorithm, seed)
     best = None
     for l in _pivot_labels(g):
         a = round_(g, p, l)
@@ -270,17 +281,10 @@ def _random_pivot(g, rng, algorithm, round_):
     )
 
 
-def _pivot_fallback(g, algorithm, t0, seed=None):
+def _pivot_fallback(g, algorithm, seed=None):
     """Voting needs a third vertex; the single edge of an n = 2 instance is
     solved exactly by pivot propagation instead."""
-    rep = pivot_best(g)
-    return replace(
-        rep,
-        algorithm=algorithm,
-        seed=seed,
-        elapsed=time.perf_counter() - t0,
-        extra={"fallback": "pivot"},
-    )
+    return replace(pivot_best(g), algorithm=algorithm, seed=seed, extra={"fallback": "pivot"})
 
 
 def _voting_final(g, pivot, pivot_label):
@@ -326,25 +330,15 @@ def voting_solve(g):
     solved exactly by pivot propagation instead.
     """
     _require_complete(g, "voting_solve")
-    t0 = time.perf_counter()
     if g.n == 2:
-        return _pivot_fallback(g, "voting", t0)
+        return _pivot_fallback(g, "voting")
     cyclic = g.kind == "cyclic"
 
     def select(pivots, labels, temp, counts):
         final = _voting_labels(counts, temp, pivots, labels, cyclic)
         return final, _violations(g, final, _vote_counts(g, final))
 
-    (bad, p, l, a), extra = _all_pivots(g, select)
-    return SolveReport(
-        assignment=a,
-        violated=bad,
-        algorithm="voting",
-        pivot=p,
-        pivot_label=l,
-        elapsed=time.perf_counter() - t0,
-        extra=extra,
-    )
+    return _all_pivots(g, "voting", select)
 
 
 def randomized_voting(g, rng=None):
@@ -368,23 +362,13 @@ def dense_voting(g):
         g = DenseInstance.wrap_complete(g)
     if g.n < 3:
         raise ValueError("dense voting needs n >= 3")
-    t0 = time.perf_counter()
 
     def select(pivots, labels, temp, counts):
         fallback = np.where(temp == UNLABELED, 0, temp)
         final = np.where(counts.any(axis=1), counts.argmax(axis=1), fallback)
         return final, _violations(g, final, _vote_counts(g, final))
 
-    (bad, p, l, a), extra = _all_pivots(g, select)
-    return SolveReport(
-        assignment=a,
-        violated=bad,
-        algorithm="dense-voting",
-        pivot=p,
-        pivot_label=l,
-        elapsed=time.perf_counter() - t0,
-        extra=extra,
-    )
+    return _all_pivots(g, "dense-voting", select)
 
 
 # Split exhaustive search: the labelings of the low block (the last vertices)

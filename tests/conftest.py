@@ -267,6 +267,32 @@ def pivot_best_oracle(g):
     return _best_round(g, rounds)
 
 
+def vote_counts_oracle(g, X):
+    """Raw vote counts of the candidate rows of ``X`` (UNLABELED = -1 where a
+    row leaves a vertex out), one voter at a time: R[i, a, v] counts the
+    labeled u with (u, v) present, or u == v on complete instances, whose
+    constraint with v forces a when u takes X[i, u]."""
+    dense = isinstance(g, DenseInstance)
+    base = g.base if dense else g
+    n, q = g.n, g.q
+    R = np.zeros((len(X), q, n), dtype=np.int64)
+    for u in range(n):
+        for v in range(n):
+            if dense and not g.present(u, v):  # the diagonal is never present
+                continue
+            for i, c in enumerate(X[:, u]):
+                if c < 0:
+                    continue
+                if u == v:
+                    a = c
+                elif base.kind == "cyclic":
+                    a = (c - base.offset(u, v)) % q
+                else:
+                    a = base.perm(u, v)[c]
+                R[i, a, v] += 1
+    return R
+
+
 def square_oracle(g):
     """to_square_instance with one bincount of two-step offsets per middle
     vertex w."""

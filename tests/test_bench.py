@@ -159,11 +159,26 @@ class TestRunBench:
             assert r.val is None and "q = 1" in r.error
             assert r.error.startswith("ValueError: ")
 
+    def test_ptas_rows_use_the_default_tau(self):
+        # the sweep has no tau of its own: ptas rows match run_algorithm's
+        # default, and the keyword is gone
+        (row,) = run_bench(["ptas"], ns=[6], qs=[2], corrupt_fracs=[0.2], threads=1)
+        assert row.error == "" and row.val is not None
+        with pytest.raises(TypeError):
+            run_bench(["ptas"], ns=[6], qs=[2], tau=0.5)
+
     def test_rejects_unknown_names(self):
         with pytest.raises(ValueError):
             run_bench(["magic"], ns=[5], qs=[2])
         with pytest.raises(ValueError):
             run_bench(["pivot"], ns=[5], qs=[2], family="adversarial")
+
+
+class TestBenchRow:
+    def test_fields_after_seed_default_to_empty(self):
+        row = BenchRow("pivot", 5, 2, 0.0, 0)
+        assert (row.corruptions, row.opt_or_lb, row.opt_exact) == (None, None, None)
+        assert (row.val, row.ratio, row.elapsed_ms, row.error) == (None, None, None, "")
 
 
 class TestWriteCsv:

@@ -86,6 +86,17 @@ class TestGen:
         assert code == 3 and "error:" in err
         assert not inst.exists()
 
+    @pytest.mark.parametrize("attempts", ["0", "-2"])
+    def test_gadget_rejects_non_positive_attempts(self, capsys, tmp_path, attempts):
+        inst = tmp_path / "g.txt"
+        code, out, err = run(
+            capsys, "gen", "gadget", "--q", "3", "--ell", "6",
+            "--max-attempts", attempts, "-o", str(inst),
+        )
+        assert (code, out) == (3, "")
+        assert err == "error: max_attempts must be >= 1\n"
+        assert not inst.exists()
+
     def test_reduce_md2(self, capsys, tmp_path):
         inst = tmp_path / "g.txt"
         code, _, _ = run(
@@ -291,6 +302,19 @@ class TestCertify:
         assert f"inconsistent_triangles: {inconsistent_triangles(g)}\n" in out
         assert f"packing_lower_bound: {triangle_packing_lb(g, rng=0).lower_bound}\n" in out
 
+    def test_negative_val_exit_code(self, capsys, tmp_path):
+        inst = tmp_path / "g.txt"
+        write_instance(planted(7, 3, 2, rng=3).instance, inst)
+        code, out, err = run(capsys, "certify", str(inst), "--val", "-3")
+        assert (code, out) == (3, "")
+        assert err == "error: --val must be >= 0, got -3\n"
+
+    def test_zero_val_is_accepted(self, capsys, tmp_path):
+        inst = tmp_path / "g.txt"
+        write_instance(planted(7, 3, 2, rng=3).instance, inst)
+        code, out, _ = run(capsys, "certify", str(inst), "--val", "0")
+        assert code == 0 and "certified_ratio: 0\n" in out
+
     def test_zero_bound_ratio_is_na(self, capsys, tmp_path):
         inst = tmp_path / "g.txt"
         write_instance(planted(6, 3, 0, rng=0).instance, inst)
@@ -319,6 +343,15 @@ class TestBench:
         assert code == 0 and "wrote 1 rows" in out
         lines = out_path.read_text().strip().split("\n")
         assert lines[0] == CSV_HEADER and len(lines) == 2
+
+    def test_tau_is_not_a_bench_option(self, capsys):
+        # tau reaches only ptas diagnostics that no CSV column holds
+        code, out, err = run(
+            capsys, "bench", "--alg", "ptas", "--n", "5", "--q", "2",
+            "--tau", "0.5", "--out", "-",
+        )
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --tau 0.5" in err
 
     def test_error_rows_reported_on_stderr(self, capsys, tmp_path):
         out_path = tmp_path / "bench.csv"

@@ -344,6 +344,12 @@ class TestBipartiteGadget:
         with pytest.raises(ValueError):
             GadgetSpec(q=2, ell=4, beta=0.0)
 
+    @pytest.mark.parametrize("field", ["max_attempts", "samples"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_spec_rejects_non_positive_counts(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+            GadgetSpec(q=3, ell=9, **{field: value})
+
 
 def lift(labels, k):
     return np.repeat(np.asarray(labels), k)

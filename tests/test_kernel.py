@@ -14,6 +14,7 @@ from conftest import (
     pivot_best_oracle,
     rand_ug,
     square_oracle,
+    vote_counts_oracle,
     voting_round_oracle,
     voting_solve_oracle,
 )
@@ -22,6 +23,7 @@ from ugsolve.core import to_square_instance
 from ugsolve.generators import noise_model, planted, sparsify_everywhere_dense
 from ugsolve.solvers import (
     CAND_BLOCK,
+    UNLABELED,
     VOTER_BLOCK,
     _propagate,
     _vote_counts,
@@ -126,3 +128,22 @@ def test_every_candidate_matches_its_round(kind, q, n):
     final = _voting_labels(_vote_counts(g, temp), temp, pivots, pivot_labels, kind == "cyclic")
     for row, (p, l) in enumerate(zip(pivots, pivot_labels)):
         assert np.array_equal(final[row], voting_round_oracle(g, p, l))
+
+
+@pytest.mark.parametrize("dense", [False, True])
+@pytest.mark.parametrize("n", [VOTER_BLOCK - 1, VOTER_BLOCK + 1])
+@pytest.mark.parametrize("q", [2, 7, 16])
+@pytest.mark.parametrize("kind", ["cyclic", "perm"])
+def test_vote_counts_match_voter_oracle(kind, q, n, dense):
+    # the raw counts, not only the labels read off them: one propagated row
+    # and two random ones, with vertices left out on dense instances
+    g = _instance(kind, q, n)
+    rng = np.random.default_rng(100 * q + n)
+    X = rng.integers(q, size=(3, n))
+    if dense:
+        g = sparsify_everywhere_dense(g, 0.3, rng=n)
+        X[rng.random(X.shape) < 0.3] = UNLABELED
+    X[0] = _propagate(g, np.array([n // 2]), np.array([q - 1]))[0]
+    if dense:
+        assert (X == UNLABELED).any(axis=1).all()
+    assert np.array_equal(_vote_counts(g, X), vote_counts_oracle(g, X))
