@@ -17,6 +17,7 @@ from itertools import product
 import numpy as np
 
 from .certify import triangle_packing_lb
+from .core import _seed
 from .errors import ResourceLimitError
 from .generators import (
     noise_model,
@@ -215,18 +216,15 @@ def run_bench(
             raise ValueError(f"unknown algorithm {alg!r}; choose from {ALGORITHMS}")
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
+    seeds = [_seed(seed) for seed in seeds]
     cells = list(product(ns, qs, deltas, corrupt_fracs))
     tasks = [
         (family, n, q, delta, frac, seed, cell_index, algorithms, brute_limit)
         for cell_index, (n, q, delta, frac) in enumerate(cells)
         for seed in seeds
     ]
-    workers = resolve_threads(threads)
-    if workers == 1 or len(tasks) <= 1:
-        groups = [_cell_rows(*t) for t in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            groups = list(pool.map(lambda t: _cell_rows(*t), tasks))
+    with ThreadPoolExecutor(max_workers=resolve_threads(threads)) as pool:
+        groups = list(pool.map(lambda t: _cell_rows(*t), tasks))
     return [row for group in groups for row in group]
 
 

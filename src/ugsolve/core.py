@@ -47,9 +47,14 @@ def as_generator(rng=None):
     """
     if isinstance(rng, np.random.Generator):
         return rng
-    if rng is None:
-        rng = 0
-    return np.random.Generator(np.random.PCG64(int(rng)))
+    return np.random.Generator(np.random.PCG64(_seed(0 if rng is None else rng)))
+
+
+def _seed(seed):
+    """``seed`` as an int; numpy seeds only from non-negative ones."""
+    if int(seed) < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return int(seed)
 
 
 def perm_compose(p, r):
@@ -357,17 +362,23 @@ def violated_count(g, labels):
 def _violated_fast(g, a):
     # walk the upper triangle in row blocks: one pass over the constraints
     # instead of gathering m-length edge arrays
-    n = g.n
     present = g.present_matrix() if isinstance(g, DenseInstance) else None
     bad = 0
-    block = max(1, (1 << 18) // n)
-    for start in range(0, n, block):
-        rows = slice(start, min(start + block, n))
-        d = g.implied(rows, a[rows], slice(start, None)) != a[None, start:]
+    for rows in _row_slices(g.n):
+        cols = slice(rows.start, None)
+        d = g.implied(rows, a[rows], cols) != a[None, cols]
         if present is not None:
-            d &= present[rows, start:]
+            d &= present[rows, cols]
         bad += int(np.count_nonzero(np.triu(d, k=1)))
     return bad
+
+
+def _row_slices(n):
+    """Consecutive row slices covering 0..n-1, each of about 2**18 cells of
+    an n-column table: one cache-sized slab per pass."""
+    block = max(1, (1 << 18) // n)
+    for start in range(0, n, block):
+        yield slice(start, min(start + block, n))
 
 
 def _pivot_labels(g):

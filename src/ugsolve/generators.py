@@ -12,7 +12,7 @@ from math import ceil
 
 import numpy as np
 
-from .core import DenseInstance, LinEqInstance, UgInstance, as_generator
+from .core import DenseInstance, LinEqInstance, UgInstance, _seed, as_generator
 from .errors import GadgetGenerationError
 from .solvers import _digits, _require_complete, brute_force
 
@@ -478,6 +478,7 @@ class BlowupSpec:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
+        _seed(self.seed)
 
 
 def _blow_up_arrays(g, k):

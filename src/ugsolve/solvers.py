@@ -19,6 +19,7 @@ from .core import (
     SolveReport,
     _as_labels,
     _pivot_labels,
+    _row_slices,
     _violated_fast,
     as_generator,
 )
@@ -298,9 +299,7 @@ def _voting_final(g, pivot, pivot_label):
     temp = _propagate(g, np.array([pivot]), np.array([0 if cyclic else pivot_label]))[0]
     counts = np.zeros(n * q, dtype=np.int64)
     slots = q * np.arange(n)
-    block = max(1, (1 << 18) // n)  # keep each votes slab cache-sized
-    for start in range(0, n, block):
-        rows = slice(start, min(start + block, n))
+    for rows in _row_slices(n):
         votes = g.implied(rows, temp[rows])  # votes[u, v] = vote of u for v
         votes += slots
         counts += np.bincount(votes.ravel(), minlength=n * q)

@@ -96,6 +96,10 @@ class TestRunBench:
         parallel = run_bench(["pivot", "rvoting", "ptas"], threads=4, **kwargs)
         assert strip_timing(serial) == strip_timing(parallel)
 
+    def test_negative_seed_is_rejected_up_front(self):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            run_bench(["pivot"], ns=[5], qs=[2], seeds=[0, -1], threads=1)
+
     def test_exact_optimum_when_brute_feasible(self):
         rows = run_bench(["pivot"], ns=[6], qs=[2], corrupt_fracs=[0.3], seeds=[0, 1, 2], threads=1)
         for r in rows:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -371,6 +374,34 @@ class TestTopLevel:
     def test_no_command_is_usage_error(self, capsys):
         code, _, _ = run(capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "{inst}", "--alg", "pivot-random", "--seed", "-1"],
+        ["certify", "{inst}", "--seed", "-1"],
+        ["gen", "planted", "--n", "5", "--q", "2", "--seed", "-1", "-o", "{out}"],
+        ["bench", "--alg", "pivot", "--n", "5", "--q", "2", "--seeds", "-1", "--out", "-"],
+    ])
+    def test_negative_seed_exit_code(self, capsys, tmp_path, argv):
+        inst, out = tmp_path / "g.txt", tmp_path / "out.txt"
+        write_instance(planted(5, 2, 0, rng=0).instance, inst)
+        code, stdout, err = run(capsys, *(a.format(inst=inst, out=out) for a in argv))
+        assert (code, stdout, err) == (3, "", "error: seed must be >= 0, got -1\n")
+        assert not out.exists()
+
+    def test_only_runtime_dependency_is_numpy(self):
+        # a fresh interpreter: the test session has imported far more
+        probe = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import ugsolve\n"
+            "new = {m.partition('.')[0] for m in set(sys.modules) - before}\n"
+            "print(' '.join(sorted(new - set(sys.stdlib_module_names))))\n"
+        )
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.split() == ["numpy", "ugsolve"]
 
     def test_round_trip_through_solve_and_verify(self, capsys, tmp_path):
         inst = tmp_path / "g.txt"

@@ -34,6 +34,10 @@ class TestAsGenerator:
         b = as_generator(2).integers(0, 1 << 30, 8)
         assert not (a == b).all()
 
+    def test_negative_seed_is_named(self):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            as_generator(-1)
+
 
 class TestPermHelpers:
     def test_compose_applies_right_first(self):

@@ -189,6 +189,13 @@ class TestAssignmentRoundTrip:
         text = "ugassign 1\n2 5\n0 1\n1 0\n"
         assert np.array_equal(parse_assignment(text), [1, 0, 5])
 
+    def test_shuffled_order_round_trip(self, rng):
+        labels = rng.integers(0, 2**63 - 1, 5000, dtype=np.int64, endpoint=True)
+        lines = serialize_assignment(labels).splitlines()
+        body = [lines[1:][i] for i in rng.permutation(5000)]
+        back = parse_assignment("\n".join([lines[0], *body]) + "\n")
+        assert back.dtype == np.int64 and np.array_equal(back, labels)
+
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "assign.txt"
         write_assignment([2, 0, 1], path)
@@ -262,14 +269,6 @@ def assert_instance_paths_agree(text, parser=None):
         assert type(fast[0]) is type(ref[0]) and fast[0] == ref[0]
         assert ref[1] == "reference" and parser in (None, fast[1])
     return ref_error
-
-
-def assert_assignment_paths_agree(text):
-    fast, fast_error = _outcome(parse_assignment, text)
-    ref, ref_error = _outcome(_reference(parse_assignment), text)
-    assert fast_error == ref_error
-    if ref is not None:
-        assert fast.dtype == ref.dtype and np.array_equal(fast, ref)
 
 
 CYC = "uginst 1\nmode cyclic\nq 5\nn 3\ndensity full\n"
@@ -352,31 +351,42 @@ class TestFastPathMatchesReference:
             back, parser = parse_instance_info(serialize_instance(d))
             assert back == d and parser == "fast"
 
-    @pytest.mark.parametrize("text", [
-        "ugassign 1\n0 2\n1 0\n2 1\n",
-        "ugassign 1\n2 1\n0 2\n1 0",
-        "ugassign 1\n0 000002\n1 0\n",
-        "ugassign 1 # x\n0 2\n1 0\n",
-        "ugassign 1\n0 +2\n1 0\n",
-        "ugassign 1\n0 2\n\n1 0\n",
-        "ugassign 1\r\n0 2\r\n1 0\r\n",
-        "ugassign 1\n0 9223372036854775807\n1 0\n",
-        "ugassign 1\n0 9223372036854775808\n1 0\n",
-        "ugassign 1\n0 99999999999999999999999\n1 -1\n",
-        "ugassign 1\n0 1\n0 2\n",
-        "ugassign 1\n0 1\n2 0\n",
-        "ugassign 1\n5 1\n",
-        "ugassign 1\n0 -1\n",
-        "ugassign 1\n0 1 2\n",
-        "ugassign 1\n0\n1 2 3\n",
-        "ugassign 1\n0 x\n",
-        "ugassign 1\n",
-        "ugassign 1\n\n",
-        "ugassign 2\n0 1\n",
-        "",
+    # outcomes recorded while assignment files still had a whole-array reader
+    # beside the per-token one; both gave these, and the one reader keeps them
+    @pytest.mark.parametrize("text,labels,error", [
+        ("ugassign 1\n0 2\n1 0\n2 1\n", [2, 0, 1], None),
+        ("ugassign 1\n2 1\n0 2\n1 0", [2, 0, 1], None),
+        ("ugassign 1\n0 000002\n1 0\n", [2, 0], None),
+        ("ugassign 1 # x\n0 2\n1 0\n", [2, 0], None),
+        ("ugassign 1\n0 +2\n1 0\n", [2, 0], None),
+        ("ugassign 1\n0 2\n\n1 0\n", [2, 0], None),
+        ("ugassign 1\r\n0 2\r\n1 0\r\n", [2, 0], None),
+        ("ugassign 1\n0 9223372036854775807\n1 0\n", [2**63 - 1, 0], None),
+        ("ugassign 1\n0 9223372036854775808\n1 0\n", None,
+         ("line 2: labels must be below 2**63: labels are 64-bit integers", 2)),
+        ("ugassign 1\n0 99999999999999999999999\n1 -1\n", None,
+         ("line 2: labels must be below 2**63: labels are 64-bit integers", 2)),
+        ("ugassign 1\n0 1\n0 2\n", None, ("line 3: duplicate vertex 0", 3)),
+        ("ugassign 1\n0 1\n2 0\n", None, ("vertices must cover 0..1; missing 1", None)),
+        ("ugassign 1\n5 1\n", None, ("vertices must cover 0..0; missing 0", None)),
+        ("ugassign 1\n0 -1\n", None, ("line 2: labels must be nonnegative", 2)),
+        ("ugassign 1\n0 1 2\n", None,
+         ("line 2: assignment line needs 2 tokens, got 3", 2)),
+        ("ugassign 1\n0\n1 2 3\n", None,
+         ("line 2: assignment line needs 2 tokens, got 1", 2)),
+        ("ugassign 1\n0 x\n", None, ("line 2: label must be an integer, got 'x'", 2)),
+        ("ugassign 1\n", None, ("assignment lists no vertices", None)),
+        ("ugassign 1\n\n", None, ("assignment lists no vertices", None)),
+        ("ugassign 2\n0 1\n", None, ("line 1: unsupported format version '2'", 1)),
+        ("", None, ("unexpected end of file, expected magic header", None)),
     ])
-    def test_assignment_paths_agree(self, text):
-        assert_assignment_paths_agree(text)
+    def test_assignment_paths_agree(self, text, labels, error):
+        got, got_error = _outcome(parse_assignment, text)
+        if error is None:
+            assert got_error is None and got.dtype == np.int64
+            assert got.tolist() == labels
+        else:
+            assert got_error == (ParseError, *error)
 
 
 # ---------------------------------------------------------------------------

@@ -414,6 +414,8 @@ class TestBlowup:
             blow_up_star(base, BlowupSpec(k=2))  # k not a multiple of q
         with pytest.raises(ValueError):
             BlowupSpec(k=0)
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            BlowupSpec(k=2, seed=-1)
         perm = planted(4, 2, 0, kind="perm", rng=0).instance
         with pytest.raises(ValueError):
             blow_up_star(perm, BlowupSpec(k=2))
