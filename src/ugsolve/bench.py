@@ -17,7 +17,7 @@ from itertools import product
 import numpy as np
 
 from .certify import triangle_packing_lb
-from .core import _seed
+from .core import _seed, _spawn_int
 from .errors import ResourceLimitError
 from .generators import (
     noise_model,
@@ -114,14 +114,6 @@ def _spawned(seed, cell_index, lane):
     )
 
 
-def _spawned_int(seed, cell_index, lane):
-    return int(
-        np.random.SeedSequence(seed, spawn_key=(cell_index, lane)).generate_state(
-            1, np.uint64
-        )[0]
-    )
-
-
 def _make_instance(family, n, q, delta, frac, seed, cell_index):
     if family == "planted":
         m = n * (n - 1) // 2
@@ -186,7 +178,7 @@ def _cell_rows(family, n, q, delta, frac, seed, cell_index, algorithms, brute_li
     known = dict(corruptions=corr, opt_or_lb=opt, opt_exact=exact)
     rows = []
     for alg_index, alg in enumerate(algorithms):
-        solver_seed = _spawned_int(seed, cell_index, 10 + alg_index)
+        solver_seed = _spawn_int(seed, cell_index, 10 + alg_index)
         try:
             rep = run_algorithm(alg, inst, solver_seed, brute_limit=brute_limit)
             rows.append(row(alg, val=rep.violated, ratio=_ratio(rep.violated, opt),

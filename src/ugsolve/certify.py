@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import DenseInstance, _pivot_labels, as_generator
+from .core import _exact, _pivot_labels, as_generator
 from .errors import OutOfRegimeError
 
 __all__ = [
@@ -39,7 +39,7 @@ def _middle_masks(g):
     two neighbors then holds.  Cyclic middles need only c = 0 (a global shift
     preserves every constraint).  The blocks hold each triangle once."""
     n = g.n
-    present = g.present_matrix() if isinstance(g, DenseInstance) else None
+    present = g._present
     for v in range(1, n - 1):
         lo, hi = slice(0, v), slice(v + 1, None)
         bad = True
@@ -207,7 +207,7 @@ def dense_voting_bound(opt_val, n, m, delta):
     opt_val = int(opt_val)
     if opt_val < 0 or m <= 0 or n < 2:
         raise ValueError("need opt_val >= 0, m > 0, n >= 2")
-    d = Fraction(delta)
+    d = _exact(delta)
     if not 0 <= d < 1:
         raise ValueError("delta must lie in [0, 1)")
     e = Fraction(opt_val, m)

@@ -57,6 +57,27 @@ def _seed(seed):
     return int(seed)
 
 
+def _spawn_int(seed, *key):
+    """An int seed of its own for the child ``key`` of ``seed``."""
+    seq = np.random.SeedSequence(seed, spawn_key=key)
+    return int(seq.generate_state(1, np.uint64)[0])
+
+
+def _exact(x):
+    """``x`` as a Fraction; a float reads as the decimal it prints as (0.3 is
+    3/10, not the binary fraction nearest to it)."""
+    return Fraction(str(x)) if isinstance(x, float) else Fraction(x)
+
+
+def _integers(values, what):
+    """``values`` as an integer array; any other dtype is a ValueError (stored
+    floats would truncate, Python ints past int64 overflow)."""
+    a = np.asarray(values)
+    if not np.issubdtype(a.dtype, np.integer):
+        raise ValueError(f"{what} must be integers")
+    return a
+
+
 def perm_compose(p, r):
     """Composition p after r: (p o r)(i) = p[r[i]]."""
     p = np.asarray(p)
@@ -89,6 +110,7 @@ class _CompleteInstance:
     """
 
     _noun = None  # "offset" or "perm", in error messages
+    _present = None  # mask of present pairs; None means every pair is present
 
     def __init__(self, n, q, values):
         n, q = int(n), int(q)
@@ -102,15 +124,16 @@ class _CompleteInstance:
         if isinstance(values, dict):
             if len(values) != len(iu):
                 raise ValueError(f"expected {len(iu)} {self._noun}s, got {len(values)}")
-            for (u, v), value in values.items():
+            for u, v in values:
                 if not (0 <= u < v < n):
                     raise ValueError(f"{self._noun} key ({u}, {v}) is not a pair with u < v")
-                table[u, v] = value
+            us, vs = zip(*values)
+            table[us, vs] = _integers(list(values.values()), f"{self._noun}s")
         else:
             arr = np.asarray(values)
             if arr.shape != table.shape:
                 raise ValueError(f"{self._noun} array must have shape {table.shape}")
-            table[iu, iv] = arr[iu, iv]
+            table[iu, iv] = _integers(arr, f"{self._noun}s")[iu, iv]
         fwd = table[iu, iv]
         self._check(fwd)
         table[iv, iu] = self._reverse(fwd)
@@ -243,6 +266,8 @@ class DenseInstance:
         if not isinstance(base, _CompleteInstance):
             raise ValueError(f"base must be a complete instance, got {type(base).__name__}")
         self.base = base
+        # the base's table itself, read-only: absent pairs are masked by readers
+        self.n, self.q, self.kind, self._table = base.n, base.q, base.kind, base._table
         n = base.n
         mask = np.asarray(present, dtype=bool)
         if mask.shape != (n, n):
@@ -256,7 +281,7 @@ class DenseInstance:
         if dmin < 1:
             raise ValueError("every vertex needs degree >= 1 (density slack < 1)")
         self.delta = Fraction(n - 1 - dmin, n - 1)
-        if max_delta is not None and self.delta > Fraction(max_delta):
+        if max_delta is not None and self.delta > _exact(max_delta):
             raise ValueError(
                 f"minimum degree {dmin} gives density slack {self.delta}, "
                 f"above the allowed {max_delta}"
@@ -270,18 +295,6 @@ class DenseInstance:
         """View a complete instance as a dense instance with delta = 0."""
         mask = ~np.eye(base.n, dtype=bool)
         return cls(base, mask)
-
-    @property
-    def n(self):
-        return self.base.n
-
-    @property
-    def q(self):
-        return self.base.q
-
-    @property
-    def kind(self):
-        return self.base.kind
 
     # m and edges() read the present pairs
     m = _CompleteInstance.m
@@ -298,7 +311,7 @@ class DenseInstance:
 
     def implied(self, rows, labels, cols=slice(None)):
         """The base's implied labels, absent pairs included: callers mask
-        them with present_matrix()."""
+        them with the present mask."""
         return self.base.implied(rows, labels, cols)
 
     def __eq__(self, other):
@@ -311,7 +324,7 @@ class DenseInstance:
             and self.q == other.q
             and self.kind == other.kind
             and np.array_equal(self._present, other._present)
-            and np.array_equal(self.base._table[edges], other.base._table[edges])
+            and np.array_equal(self._table[edges], other._table[edges])
         )
 
     def __repr__(self):
@@ -346,8 +359,7 @@ def _as_labels(g, labels):
     a = np.asarray(labels)
     if a.shape != (g.n,):
         raise ValueError(f"assignment must have length n={g.n}, got shape {a.shape}")
-    if not np.issubdtype(a.dtype, np.integer):
-        raise ValueError("assignment labels must be integers")
+    _integers(a, "assignment labels")
     if len(a) and (a.min() < 0 or a.max() >= g.q):
         raise ValueError(f"labels must lie in [0, {g.q})")
     return a.astype(np.int64, copy=False)
@@ -362,7 +374,7 @@ def violated_count(g, labels):
 def _violated_fast(g, a):
     # walk the upper triangle in row blocks: one pass over the constraints
     # instead of gathering m-length edge arrays
-    present = g.present_matrix() if isinstance(g, DenseInstance) else None
+    present = g._present
     bad = 0
     for rows in _row_slices(g.n):
         cols = slice(rows.start, None)
@@ -406,17 +418,15 @@ def triangle_consistent(g, u, v, w):
     """
     if len({u, v, w}) != 3:
         raise ValueError("triangle vertices must be distinct")
-    base = g
-    if isinstance(g, DenseInstance):
+    if g._present is not None:
         for a, b in ((u, v), (v, w), (w, u)):
-            if not g.present(a, b):
+            if not g._present[a, b]:
                 raise MissingEdgeError(f"edge ({a}, {b}) is absent from the instance")
-        base = g.base
-    if base.kind == "cyclic":
-        M = base.offset_matrix()
-        return int(M[u, v] + M[v, w] + M[w, u]) % base.q == 0
-    comp = perm_compose(base.perm(w, u), perm_compose(base.perm(v, w), base.perm(u, v)))
-    return bool((comp == np.arange(base.q)).any())
+    T = g._table
+    if g.kind == "cyclic":
+        return int(T[u, v] + T[v, w] + T[w, u]) % g.q == 0
+    comp = perm_compose(T[w, u], perm_compose(T[v, w], T[u, v]))
+    return bool((comp == np.arange(g.q)).any())
 
 
 def to_square_instance(g):

@@ -33,7 +33,7 @@ import itertools
 
 import numpy as np
 
-from .core import DenseInstance, LinEqInstance, UgInstance
+from .core import DenseInstance, LinEqInstance, UgInstance, _integers
 from .errors import ParseError, ResourceLimitError
 
 __all__ = [
@@ -64,17 +64,15 @@ _KINDS = {"cyclic": LinEqInstance, "perm": UgInstance}
 
 def serialize_instance(g):
     """Instance to text; inverse of parse_instance."""
-    dense = isinstance(g, DenseInstance)
-    base = g.base if dense else g
     lines = [
         f"{INSTANCE_MAGIC} {FORMAT_VERSION}",
-        f"mode {base.kind}",
+        f"mode {g.kind}",
         f"q {g.q}",
         f"n {g.n}",
-        f"density {'dense' if dense else 'full'}",
+        f"density {'full' if g._present is None else 'dense'}",
     ]
     eu, ev = g.edges()
-    values = base._table[eu, ev].reshape(g.m, -1)  # one offset, or q perm entries
+    values = g._table[eu, ev].reshape(g.m, -1)  # one offset, or q perm entries
     return "\n".join(lines) + "\n" + _format_rows(np.column_stack((eu, ev, values)))
 
 
@@ -278,8 +276,11 @@ def parse_instance_info(text):
 
 
 def serialize_assignment(labels):
-    """Assignment to text; inverse of parse_assignment."""
-    a = np.asarray(labels)
+    """Assignment to text; inverse of parse_assignment, so labels are
+    nonnegative integers."""
+    a = _integers(labels, "assignment labels")
+    if len(a) and a.min() < 0:
+        raise ValueError("labels must be nonnegative")
     pairs = [0] * (2 * len(a))
     pairs[::2] = range(len(a))
     pairs[1::2] = a.tolist()

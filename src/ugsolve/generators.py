@@ -12,7 +12,7 @@ from math import ceil
 
 import numpy as np
 
-from .core import DenseInstance, LinEqInstance, UgInstance, _seed, as_generator
+from .core import DenseInstance, LinEqInstance, UgInstance, _exact, _seed, _spawn_int, as_generator
 from .errors import GadgetGenerationError
 from .solvers import _digits, _require_complete, brute_force
 
@@ -157,7 +157,7 @@ def sparsify_everywhere_dense(g, delta, rng=None):
         raise ValueError("delta must lie in [0, 1)")
     gen = as_generator(rng)
     n = g.n
-    floor = ceil((1 - Fraction(delta)) * (n - 1))
+    floor = ceil((1 - _exact(delta)) * (n - 1))
     mask = ~np.eye(n, dtype=bool)
     deg = np.full(n, n - 1)
     eu, ev = np.triu_indices(n, k=1)
@@ -482,13 +482,12 @@ class BlowupSpec:
 
 
 def _blow_up_arrays(g, k):
-    base = g.base
     n, q = g.n, g.q
     N = n * k
     ones = np.ones((k, k), dtype=bool)
     present = np.kron(g.present_matrix() | np.eye(n, dtype=bool), ones)
     np.fill_diagonal(present, False)
-    off = np.kron(base.offset_matrix() * g.present_matrix(), np.ones((k, k), dtype=np.int64))
+    off = np.kron(g._table * g.present_matrix(), np.ones((k, k), dtype=np.int64))
     return N, q, off, present
 
 
@@ -527,12 +526,7 @@ def blow_up(g, spec):
         for v in range(u + 1, g.n):
             if pres[u, v]:
                 continue
-            seed = int(
-                np.random.SeedSequence(spec.seed, spawn_key=(idx,)).generate_state(
-                    1, np.uint64
-                )[0]
-            )
-            gadget = bipartite_gadget(GadgetSpec(q=q, ell=k, seed=seed))
+            gadget = bipartite_gadget(GadgetSpec(q=q, ell=k, seed=_spawn_int(spec.seed, idx)))
             off[u * k : (u + 1) * k, v * k : (v + 1) * k] = gadget.offsets
             idx += 1
     return LinEqInstance(N, q, off)

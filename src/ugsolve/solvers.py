@@ -69,8 +69,8 @@ def _propagate(g, pivots, pivot_labels):
     """pivot_assign for a batch: row i propagates pivot_labels[i] from
     pivots[i]."""
     temp = g.implied(pivots, pivot_labels)
-    if isinstance(g, DenseInstance):
-        reached = g.present_matrix()[pivots]
+    if g._present is not None:
+        reached = g._present[pivots]
         reached[np.arange(len(pivots)), pivots] = True
         temp[~reached] = UNLABELED
     return temp
@@ -102,8 +102,7 @@ def _vote_counts(g, X):
     one-hot slice per offset, q times smaller than the label-extended tile
     the permutation kind reads through ``implied``.
     """
-    base = g.base if isinstance(g, DenseInstance) else g
-    present = g.present_matrix() if isinstance(g, DenseInstance) else None
+    present = g._present
     n, q = g.n, g.q
     # each entry sums at most n products of 0/1 values, and float32 holds
     # every integer up to 2**24 exactly, so BLAS returns exact counts
@@ -111,8 +110,8 @@ def _vote_counts(g, X):
     r = len(X)
     labels = np.arange(q)
     R = np.empty((r, q, n), dtype=np.float32)
-    if base.kind == "cyclic":
-        M = base.offset_matrix()
+    if g.kind == "cyclic":
+        M = g._table
         # one-hot over 2q labels, so that labels a .. a+q-1 (mod q) are one
         # strided (r, q*n) view for every a
         left = (X[:, None, :] == np.tile(labels, 2)[None, :, None]).astype(np.float32)
@@ -179,7 +178,7 @@ def _violations(g, X, counts):
     itself on complete instances."""
     agree = np.take_along_axis(counts, X[:, None, :], axis=1)[:, 0]
     agree = agree.astype(np.int64).sum(axis=1)
-    self_votes = 0 if isinstance(g, DenseInstance) else g.n
+    self_votes = g.n if g._present is None else 0
     return g.m - (agree - self_votes) // 2
 
 
@@ -224,7 +223,7 @@ def _all_pivots(g, algorithm, select):
         phases["select"] += t1 - t2
     bad, p, l, a = best
     kernel = {
-        "path": f"{g.kind}-{'dense' if isinstance(g, DenseInstance) else 'complete'}",
+        "path": f"{g.kind}-{'complete' if g._present is None else 'dense'}",
         "dtype": "float32",
         "pivot_block": _pivot_block(g),
         "voter_block": VOTER_BLOCK,
@@ -452,7 +451,7 @@ def brute_force(g, limit=BRUTE_FORCE_LIMIT):
     # counts are summed in int32, and none exceeds m
     assert g.m < 2**31
     t0 = time.perf_counter()
-    present = g.present_matrix() if isinstance(g, DenseInstance) else ~np.eye(n, dtype=bool)
+    present = ~np.eye(n, dtype=bool) if g._present is None else g._present
     radices = [lead] + [q] * (n - 1)
     l = _low_size(n, q, space)
     k = n - l

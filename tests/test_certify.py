@@ -251,6 +251,10 @@ class TestDenseVotingBound:
             dense_voting_bound(20, 11, 50, Fraction(1, 4))
         with pytest.raises(OutOfRegimeError):
             dense_voting_bound(1, 11, 50, Fraction(1, 2))
+        # 1 - 2/5 - 2*3/10 is exactly 0; the double nearest 0.3 lies below 3/10
+        with pytest.raises(OutOfRegimeError):
+            dense_voting_bound(1, 11, 5, 0.3)
+        assert dense_voting_bound(2, 12, 60, 0.1) == dense_voting_bound(2, 12, 60, Fraction(1, 10))
 
     def test_delta_increases_the_bound(self):
         a = dense_voting_bound(2, 12, 60, 0).value

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from conftest import rand_dense, rand_instance, rand_lineq, rand_ug, violated_oracle
@@ -158,6 +160,15 @@ class TestDenseInstance:
         with pytest.raises(ValueError):
             DenseInstance(g, mask, max_delta=0.1)
 
+    def test_float_max_delta_reads_as_its_decimal(self, rng):
+        # slack exactly 3/10, while the double nearest 0.3 lies just below it
+        g = rand_lineq(rng, 11, 3)
+        mask = ~np.eye(11, dtype=bool)
+        mask[0, 1:4] = mask[1:4, 0] = False
+        assert DenseInstance(g, mask, max_delta=0.3).delta == Fraction(3, 10)
+        with pytest.raises(ValueError):
+            DenseInstance(g, mask, max_delta=0.29)
+
     def test_wrap_complete(self, rng):
         d = DenseInstance.wrap_complete(rand_ug(rng, 5, 2))
         assert d.delta == 0 and d.m == 10
@@ -219,6 +230,17 @@ class TestCompleteInstance:
             with pytest.raises(ValueError) as exc:
                 cls(3, 2, values)
             assert str(exc.value) == text
+
+    @pytest.mark.parametrize("kind, cls, noun", COMPLETE)
+    def test_non_integer_constraints_rejected(self, kind, cls, noun):
+        # floats would be truncated on storage, ints past int64 overflow
+        shape = _identity_table(kind, 2, 2).shape
+        cases = [1.7, 2**70] if kind == "cyclic" else [[0.5, 1.2], [0, 2**70]]
+        for value in cases:
+            for values in ({(0, 1): value}, np.full(shape, value)):
+                with pytest.raises(ValueError) as exc:
+                    cls(2, 2, values)
+                assert str(exc.value) == f"{noun}s must be integers"
 
     @pytest.mark.parametrize("kind, cls, noun", COMPLETE)
     def test_lower_triangle_and_diagonal_of_input_ignored(self, rng, kind, cls, noun):

@@ -185,6 +185,15 @@ class TestAssignmentRoundTrip:
         assert np.array_equal(back, labels)
         assert serialize_assignment(back) == text
 
+    @pytest.mark.parametrize("labels, text", [
+        ([0.6, 1.9], "assignment labels must be integers"),
+        ([-1, 0], "labels must be nonnegative"),
+    ])
+    def test_unreadable_labels_are_not_written(self, labels, text):
+        with pytest.raises(ValueError) as exc:
+            serialize_assignment(labels)
+        assert str(exc.value) == text
+
     def test_order_insensitive(self):
         text = "ugassign 1\n2 5\n0 1\n1 0\n"
         assert np.array_equal(parse_assignment(text), [1, 0, 5])

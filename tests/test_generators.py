@@ -162,6 +162,11 @@ class TestSparsify:
         floor = ceil((1 - Fraction(3, 10)) * 11)
         assert d.degrees().min() == floor
 
+    def test_float_delta_reads_as_its_decimal(self):
+        # (1 - 0.3) * 10 is exactly 7; the double nearest 0.3 would give 8
+        d = sparsify_everywhere_dense(planted(11, 3, 0).instance, 0.3)
+        assert d.degrees().min() == 7 and d.delta == Fraction(3, 10)
+
     def test_present_edges_keep_their_offsets(self):
         g = planted(9, 4, 3, rng=2).instance
         d = sparsify_everywhere_dense(g, 0.25, rng=3)

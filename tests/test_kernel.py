@@ -114,6 +114,9 @@ def test_kernel_metadata():
         assert all(t >= 0 for t in rep.extra["phases"].values())
     assert voting_solve(g).extra["kernel"]["path"] == "cyclic-complete"
     assert dense_voting(g).extra["kernel"]["path"] == "cyclic-dense"
+    h = _perm(9, 4, seed=0)
+    assert voting_solve(h).extra["kernel"]["path"] == "perm-complete"
+    assert dense_voting(h).extra["kernel"]["path"] == "perm-dense"
     assert pivot_best(_perm(9, 4, seed=0)).extra["kernel"]["pivot_block"] == CAND_BLOCK // 4
 
 
