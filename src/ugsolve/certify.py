@@ -207,7 +207,7 @@ def dense_voting_bound(opt_val, n, m, delta):
     opt_val = int(opt_val)
     if opt_val < 0 or m <= 0 or n < 2:
         raise ValueError("need opt_val >= 0, m > 0, n >= 2")
-    d = _exact(delta)
+    d = _exact(delta, "delta")
     if not 0 <= d < 1:
         raise ValueError("delta must lie in [0, 1)")
     e = Fraction(opt_val, m)

@@ -17,6 +17,7 @@ impossible to build an instance whose two orientations disagree.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -63,10 +64,15 @@ def _spawn_int(seed, *key):
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def _exact(x):
+def _exact(x, name):
     """``x`` as a Fraction; a float reads as the decimal it prints as (0.3 is
-    3/10, not the binary fraction nearest to it)."""
-    return Fraction(str(x)) if isinstance(x, float) else Fraction(x)
+    3/10, not the binary fraction nearest to it).  ``name`` is the parameter
+    an infinite or NaN float is reported under."""
+    if not isinstance(x, float):
+        return Fraction(x)
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be finite, got {x}")
+    return Fraction(str(x))
 
 
 def _integers(values, what):
@@ -281,7 +287,7 @@ class DenseInstance:
         if dmin < 1:
             raise ValueError("every vertex needs degree >= 1 (density slack < 1)")
         self.delta = Fraction(n - 1 - dmin, n - 1)
-        if max_delta is not None and self.delta > _exact(max_delta):
+        if max_delta is not None and self.delta > _exact(max_delta, "max_delta"):
             raise ValueError(
                 f"minimum degree {dmin} gives density slack {self.delta}, "
                 f"above the allowed {max_delta}"

@@ -277,10 +277,12 @@ def parse_instance_info(text):
 
 def serialize_assignment(labels):
     """Assignment to text; inverse of parse_assignment, so labels are
-    nonnegative integers."""
+    nonnegative integers below 2**63."""
     a = _integers(labels, "assignment labels")
     if len(a) and a.min() < 0:
         raise ValueError("labels must be nonnegative")
+    if len(a) and a.max() >= 2**63:
+        raise ValueError("labels must be below 2**63")
     pairs = [0] * (2 * len(a))
     pairs[::2] = range(len(a))
     pairs[1::2] = a.tolist()

@@ -157,7 +157,7 @@ def sparsify_everywhere_dense(g, delta, rng=None):
         raise ValueError("delta must lie in [0, 1)")
     gen = as_generator(rng)
     n = g.n
-    floor = ceil((1 - _exact(delta)) * (n - 1))
+    floor = ceil((1 - _exact(delta, "delta")) * (n - 1))
     mask = ~np.eye(n, dtype=bool)
     deg = np.full(n, n - 1)
     eu, ev = np.triu_indices(n, k=1)

@@ -14,7 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import SolveReport, _pivot_labels, as_generator, violated_count
+from . import solvers
+from .core import SolveReport, _pivot_labels, _violated_fast, as_generator
 from .solvers import _require_complete, voting_solve
 
 __all__ = ["PtasConfig", "greedy_max", "ptas_solve"]
@@ -40,18 +41,43 @@ class PtasConfig:
             raise ValueError("greedy_restarts must be >= 1")
 
 
-def _greedy_pass(g, order, first_label):
-    """One greedy sweep: assign ``order[0]`` the given label, then give each
-    later vertex the plurality label among constraints to already-placed
-    vertices (ties toward the smaller label)."""
-    n, q = g.n, g.q
-    labels = np.zeros(n, dtype=np.int64)
-    labels[order[0]] = first_label
-    for i in range(1, n):
-        v = order[i]
-        placed = order[:i]
-        votes = g.implied(placed, labels[placed], slice(v, v + 1))[:, 0]
-        labels[v] = np.argmax(np.bincount(votes, minlength=q))
+def _lockstep(g, orders, first):
+    """Run one greedy sweep per row of ``orders`` together, sweep s starting
+    with ``orders[s, 0]`` at label ``first[s]``; returns their (S, n) labels
+    and their (S, n, q) int32 vote table.
+
+    Each step places ``orders[:, i]`` at the first argmax of its row of the
+    vote table, the smallest plurality label, then adds the row of labels
+    its constraints force on every vertex with one fancy ``+=``; the (s, w)
+    cells of one step are distinct, so the sum is exact.  The last step's
+    votes are added too: then a vertex's entry at its own label counts
+    itself and every constraint satisfied at it, which scores the sweeps."""
+    S, n = orders.shape
+    q = g.q
+    sweeps = np.arange(S)
+    votes = np.zeros((S * n, q), dtype=np.int32)  # row n * s + w
+    flat = votes.reshape(-1)
+    cells = q * (n * sweeps[:, None] + np.arange(n))  # offset of (s, w, 0)
+    labels = np.empty((S, n), dtype=np.int64)
+    for i in range(n):
+        v = orders[:, i]
+        a = first if i == 0 else votes[n * sweeps + v].argmax(axis=1)
+        labels[sweeps, v] = a
+        flat[cells + g.implied(v, a)] += 1
+    return labels, votes.reshape(S, n, q)
+
+
+def _sweep(g, order, first):
+    """One greedy sweep whose votes are counted per step from the placed
+    vertices: the path of a sweep whose own (n, q) vote table would pass
+    ENTRY_CAP.  Ties go to the smallest label, as in _lockstep."""
+    labels = np.zeros(g.n, dtype=np.int64)
+    labels[order[0]] = first
+    for i in range(1, g.n):
+        v, placed = order[i], order[:i]
+        forced = g.implied(placed, labels[placed], slice(v, v + 1))[:, 0]
+        values, counts = np.unique(forced, return_counts=True)
+        labels[v] = values[np.argmax(counts)]
     return labels
 
 
@@ -59,32 +85,58 @@ def greedy_max(g, rng=None, restarts=DEFAULT_GREEDY_RESTARTS):
     """Random-order greedy maximization of satisfied constraints on a complete
     instance, best of ``restarts`` independent orders.
 
-    Cyclic instances start each sweep with label 0 (shifting a whole
-    assignment never changes its cost); permutation instances try every label
-    for the first vertex, since no single starting label is safe there.
-    Deterministic given (instance, seed, restarts)."""
+    Each sweep places the vertices in its order, each at the plurality label
+    among its constraints to already-placed vertices (ties toward the
+    smaller label).  Cyclic instances start each sweep with label 0 (shifting
+    a whole assignment never changes its cost); permutation instances try
+    every label for the first vertex, since no single starting label is safe
+    there.  The first strict minimum over the sweeps, restart-major and
+    first-label-minor, wins.  Deterministic given (instance, seed, restarts).
+
+    All S = restarts * |first labels| sweeps run in lockstep, as many at a
+    time as keep their (sweeps, n, q) vote table within ENTRY_CAP entries; a
+    sweep whose own table passes it runs alone and is scored by
+    violated_count.  ``extra`` records the ``kernel`` (path ``lockstep`` or
+    ``per-sweep``, the number of sweeps and the sweeps per vote table)
+    and the seconds of its ``phases``: the ``sweeps`` and their scoring
+    (``evaluate``)."""
     _require_complete(g, "greedy_max")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     gen = as_generator(rng)
     start = time.perf_counter()
-    first_labels = _pivot_labels(g)
-    best_labels, best_val = None, None
-    for _ in range(restarts):
-        order = gen.permutation(g.n)
-        for first in first_labels:
-            labels = _greedy_pass(g, order, first)
-            val = violated_count(g, labels)
-            if best_val is None or val < best_val:
-                best_labels, best_val = labels, val
-    elapsed = time.perf_counter() - start
+    n, q = g.n, g.q
+    per_order = len(_pivot_labels(g))
+    orders = np.repeat([gen.permutation(n) for _ in range(restarts)], per_order, axis=0)
+    first = np.tile(np.arange(per_order), restarts)
+    S = len(orders)
+    chunk = solvers.ENTRY_CAP // (n * q)
+    step = max(chunk, 1)
+    labels, bad = np.empty((S, n), dtype=np.int64), np.empty(S, dtype=np.int64)
+    phases = {"sweeps": 0.0, "evaluate": 0.0}
+    for lo in range(0, S, step):
+        part = slice(lo, lo + step)
+        t0 = time.perf_counter()
+        if chunk:
+            labels[part], votes = _lockstep(g, orders[part], first[part])
+            t1 = time.perf_counter()
+            agree = np.take_along_axis(votes, labels[part, :, None], axis=2)
+            bad[part] = g.m - (agree.sum(axis=(1, 2), dtype=np.int64) - n) // 2
+        else:
+            labels[lo] = _sweep(g, orders[lo], first[lo])
+            t1 = time.perf_counter()
+            bad[lo] = _violated_fast(g, labels[lo])
+        phases["sweeps"] += t1 - t0
+        phases["evaluate"] += time.perf_counter() - t1
+    best = int(np.argmin(bad))  # the first strict minimum
+    kernel = {"path": "lockstep" if chunk else "per-sweep", "sweeps": S, "chunk": min(step, S)}
     return SolveReport(
-        assignment=best_labels,
-        violated=best_val,
+        assignment=labels[best],
+        violated=int(bad[best]),
         algorithm="greedy-max",
         seed=rng if isinstance(rng, (int, np.integer)) else None,
-        elapsed=elapsed,
-        extra={"restarts": restarts},
+        elapsed=time.perf_counter() - start,
+        extra={"restarts": restarts, "kernel": kernel, "phases": phases},
     )
 
 

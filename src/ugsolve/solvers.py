@@ -375,6 +375,9 @@ def dense_voting(g):
 # about ENTRY_CAP entries, whatever the size of the search space.
 COL_CAP = 1 << 14
 ENTRY_CAP = 1 << 20
+# Survivor budget of the prefix search in front of it: it gives up once its
+# survivors' vote table, survivors * n * q int32 entries, would pass this.
+PREFIX_CAP = 1 << 20
 
 
 def _digits(idx, radices):
@@ -420,6 +423,71 @@ def _low_size(n, q, space):
     return l
 
 
+def _upper_bound(g):
+    """Violations of some assignment, to prune the prefix search by: the
+    voting value (dense voting on a dense instance), or m when n < 3."""
+    if g.n < 3:
+        return g.m
+    return (voting_solve(g) if g._present is None else dense_voting(g)).violated
+
+
+def _prefix_search(g, present, bound):
+    """Level-wise search over the prefixes of brute_force's enumeration order.
+
+    A prefix of k vertices survives while its lower bound is at most
+    ``bound``: its violations, plus for each later vertex its fewest
+    violations against the prefix over its q labels.  Every prefix of every
+    assignment within ``bound`` survives, optima included, so the first full
+    survivor with the fewest violations is the lexicographically smallest
+    optimum.  ``votes[s, j, a]`` counts the prefix vertices whose constraint
+    with vertex k + j holds when it takes label a; a child's bound is read
+    off its parent's votes with one gather.
+
+    Returns (assignment, violated, peak survivors), or (None, None, peak)
+    once the survivors' vote table would pass PREFIX_CAP entries."""
+    n, q = g.n, g.q
+    # before[k, w]: present pairs between w and the vertices 0 .. k-1
+    before = np.zeros((n, n), dtype=np.int64)
+    np.cumsum(present[:-1], axis=0, out=before[1:])
+    count = np.arange(max(n, q))
+    inner = np.zeros(1, dtype=np.int64)  # violations inside each prefix
+    votes = np.zeros((1, n, q), dtype=np.int32)
+    trail = []  # per level: each survivor's parent survivor and its label
+    peak = 1
+    for k in range(n):
+        labels = count[:len(_pivot_labels(g)) if k == 0 else q]
+        value = inner[:, None] + before[k, k] - votes[:, 0, :len(labels)]  # (prefix, label)
+        if k == n - 1:
+            s, a = divmod(int(np.argmin(value)), len(labels))
+            violated = int(value[s, a])
+            assignment = np.empty(n, dtype=np.int64)
+            assignment[k] = a
+            for j in range(k - 1, -1, -1):
+                parents, chosen = trail[j]
+                assignment[j] = chosen[s]
+                s = parents[s]
+            return assignment, violated, peak
+        later = count[:n - k - 1]
+        # forced[a, j]: the label vertex k + 1 + j takes to agree with k at a
+        forced = g.implied(np.full(len(labels), k), labels, slice(k + 1, n))
+        pres = present[k, k + 1:]
+        rest = votes[:, 1:]
+        top = rest.max(axis=2)
+        # a present later vertex gains a neighbour, and its fewest violations
+        # stay put exactly where k's forced label is one of its top labels
+        ties = (rest[:, later, forced] == top[:, None, :]) & pres
+        fewest = (before[k + 1, k + 1:] - top).sum(axis=1)
+        s, a = np.nonzero(value + fewest[:, None] - ties.sum(axis=2) <= bound)
+        peak = max(peak, len(s))
+        if len(s) * n * q > PREFIX_CAP:
+            return None, None, peak
+        trail.append((s, a))
+        inner = value[s, a]
+        votes = rest[s]
+        # the (prefix, vertex) cells are distinct; absent pairs add 0
+        votes[np.arange(len(s))[:, None], later, forced[a]] += pres
+
+
 def brute_force(g, limit=BRUTE_FORCE_LIMIT):
     """Exhaustive search for an assignment with the minimum number of violated
     constraints; returns the lexicographically smallest optimal assignment.
@@ -429,7 +497,13 @@ def brute_force(g, limit=BRUTE_FORCE_LIMIT):
     space is q^(n-1); the permutation kind enumerates all q^n assignments.
     Raises ResourceLimitError if the search space exceeds ``limit``.
 
-    The enumeration splits into the high vertices 0..k-1 (rows) and the low
+    The search first extends prefixes of the enumeration order one vertex at
+    a time, pruned by the value of voting (see _prefix_search), while the
+    survivors' (survivors, n, q) vote table stays within PREFIX_CAP entries.
+    Past that budget it runs the split search below, whose answer is the
+    same.
+
+    The split search enumerates the high vertices 0..k-1 (rows) and the low
     block k..n-1 (columns).  The satisfied count of row h and column c is
     satHH[h] + satLL[c] + sum_j W[h, j, c_j], where W[h, j, a] counts the high
     vertices whose constraint forces label a on low vertex k + j: the product
@@ -452,7 +526,36 @@ def brute_force(g, limit=BRUTE_FORCE_LIMIT):
     assert g.m < 2**31
     t0 = time.perf_counter()
     present = ~np.eye(n, dtype=bool) if g._present is None else g._present
-    radices = [lead] + [q] * (n - 1)
+    tried = n * q <= PREFIX_CAP
+    bound = _upper_bound(g) if tried else None
+    t1 = time.perf_counter()
+    a, bad, peak = _prefix_search(g, present, bound) if tried else (None, None, 0)
+    kernel = {"path": "prefix", "dtype": "int32", "survivors": peak, "bound": bound}
+    build = t1 - t0
+    if a is None:
+        a, bad, split, split_build = _split_search(g, present, space)
+        kernel.update(split)
+        build += split_build
+    elapsed = time.perf_counter() - t0
+    return SolveReport(
+        assignment=a,
+        violated=bad,
+        algorithm="brute",
+        elapsed=elapsed,
+        extra={
+            "search_space": space,
+            "kernel": kernel,
+            "phases": {"build": build, "search": elapsed - build},
+        },
+    )
+
+
+def _split_search(g, present, space):
+    """The split search of brute_force: returns (assignment, violated, kernel
+    metadata, seconds to build the low block's table)."""
+    n, q = g.n, g.q
+    t0 = time.perf_counter()
+    radices = [len(_pivot_labels(g))] + [q] * (n - 1)
     l = _low_size(n, q, space)
     k = n - l
     # labels of each low vertex per column chunk: fewer than q only when q
@@ -493,19 +596,8 @@ def brute_force(g, limit=BRUTE_FORCE_LIMIT):
         if best[0] == 0:
             break
     best_bad, best_idx = best
-    a = _digits(np.array([best_idx]), radices)[0]
-    return SolveReport(
-        assignment=a,
-        violated=best_bad,
-        algorithm="brute",
-        elapsed=time.perf_counter() - t0,
-        extra={
-            "search_space": space,
-            "kernel": {"path": "split", "dtype": "int32", "low_block": l,
-                       "row_block": row_block, "col_chunk": span**l},
-            "phases": {"build": t1 - t0, "search": time.perf_counter() - t1},
-        },
-    )
+    kernel = {"path": "split", "low_block": l, "row_block": row_block, "col_chunk": span**l}
+    return _digits(np.array([best_idx]), radices)[0], best_bad, kernel, t1 - t0
 
 
 @dataclass

@@ -4,11 +4,13 @@ The oracles here deliberately avoid the library's vectorized kernels: they
 re-derive violated counts and optima with plain Python loops so that library
 bugs cannot cancel out in tests.  The per-pivot loop oracles further down run
 one numpy bincount per pivot and share no code with the blocked vote-count
-kernel they check, and the per-edge exhaustive search checks the
-split-and-multiply brute_force and, through the signed-graph reduction,
-brute_min_disagree2.  The triangle-certificate oracles keep the
-smallest-vertex mask loop and the sequential shuffle-and-skip packing that
-the middle-vertex masks and the round-based packing replaced.
+kernel they check, and the per-edge exhaustive search checks brute_force's
+prefix search and split-and-multiply search and, through the signed-graph
+reduction, brute_min_disagree2.  The greedy loop oracle keeps greedy_max's
+one Python step per vertex and sweep, which the lockstep sweeps replaced.
+The triangle-certificate oracles keep the smallest-vertex mask loop and the
+sequential shuffle-and-skip packing that the middle-vertex masks and the
+round-based packing replaced.
 """
 
 import itertools
@@ -16,7 +18,13 @@ import itertools
 import numpy as np
 import pytest
 
-from ugsolve.core import DenseInstance, LinEqInstance, UgInstance, violated_count
+from ugsolve.core import (
+    DenseInstance,
+    LinEqInstance,
+    UgInstance,
+    as_generator,
+    violated_count,
+)
 
 
 def violated_oracle(g, labels):
@@ -110,6 +118,31 @@ def brute_force_loop_oracle(g):
         a[j] = best_idx % q
         best_idx //= q
     return best_bad, a
+
+
+def greedy_max_loop_oracle(g, rng=None, restarts=5):
+    """greedy_max as one Python step per vertex and sweep: for each restart
+    a fresh random order, for each first label a sweep that gives every later
+    vertex the plurality label of its constraints to the placed vertices
+    (one bincount, ties toward the smaller label); returns (violated,
+    assignment) of the first strict minimum."""
+    gen = as_generator(rng)
+    n, q = g.n, g.q
+    best = None
+    for _ in range(restarts):
+        order = gen.permutation(n)
+        for first in _pivot_labels(g):
+            labels = np.zeros(n, dtype=np.int64)
+            labels[order[0]] = first
+            for i in range(1, n):
+                v = order[i]
+                placed = order[:i]
+                votes = g.implied(placed, labels[placed], slice(v, v + 1))[:, 0]
+                labels[v] = np.argmax(np.bincount(votes, minlength=q))
+            val = violated_count(g, labels)
+            if best is None or val < best[0]:
+                best = (val, labels)
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,7 @@ class TestRunAlgorithm:
     def test_options_reach_the_solver(self):
         g = planted(9, 3, 6, kind="perm", rng=1).instance
         rep = run_algorithm("greedy-max", g, 4, restarts=2)
-        assert rep.extra == {"restarts": 2}
+        assert rep.extra["restarts"] == 2
         assert rep.violated == greedy_max(g, rng=4, restarts=2).violated
         rep = run_algorithm("ptas", g, 4, tau=0.25, restarts=2)
         want = ptas_solve(g, PtasConfig(tau=0.25, seed=4, greedy_restarts=2))

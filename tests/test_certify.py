@@ -256,6 +256,11 @@ class TestDenseVotingBound:
             dense_voting_bound(1, 11, 5, 0.3)
         assert dense_voting_bound(2, 12, 60, 0.1) == dense_voting_bound(2, 12, 60, Fraction(1, 10))
 
+    @pytest.mark.parametrize("value", (float("inf"), float("nan")))
+    def test_non_finite_delta(self, value):
+        with pytest.raises(ValueError, match="delta must be finite"):
+            dense_voting_bound(1, 11, 5, value)
+
     def test_delta_increases_the_bound(self):
         a = dense_voting_bound(2, 12, 60, 0).value
         b = dense_voting_bound(2, 12, 60, Fraction(1, 10)).value

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from ugsolve import cli
+from ugsolve import cli, solvers
 from ugsolve.bench import CSV_HEADER
 from ugsolve.certify import inconsistent_triangles, triangle_packing_lb
 from ugsolve.cli import main
@@ -215,7 +215,9 @@ class TestSolve:
         extra = json.loads(out)["extra"]
         assert isinstance(extra["voting_val"], int) and isinstance(extra["eps_hat"], str)
 
-    def test_brute_json_reports_kernel_and_phases(self, capsys, instance_path):
+    def test_brute_json_reports_kernel_and_phases(self, capsys, monkeypatch, instance_path):
+        # a prefix budget of 0 sends the search to the split kernel
+        monkeypatch.setattr(solvers, "PREFIX_CAP", 0)
         code, out, _ = run(capsys, "solve", str(instance_path), "--alg", "brute", "--json")
         extra = json.loads(out)["extra"]
         kernel = extra["kernel"]
@@ -224,6 +226,14 @@ class TestSolve:
         assert extra["search_space"] == 3**6
         assert set(extra["phases"]) == {"build", "search"}
         assert all(isinstance(t, float) for t in extra["phases"].values())
+
+    def test_brute_json_reports_prefix_search(self, capsys, instance_path):
+        code, out, _ = run(capsys, "solve", str(instance_path), "--alg", "brute", "--json")
+        payload = json.loads(out)
+        kernel = payload["extra"]["kernel"]
+        assert code == 0 and kernel["path"] == "prefix"
+        assert isinstance(kernel["survivors"], int) and kernel["bound"] >= payload["val"]
+        assert set(payload["extra"]["phases"]) == {"build", "search"}
 
     def test_ptas_json_keeps_voting_metadata(self, capsys, instance_path):
         code, out, _ = run(capsys, "solve", str(instance_path), "--alg", "ptas", "--json")

@@ -169,6 +169,12 @@ class TestDenseInstance:
         with pytest.raises(ValueError):
             DenseInstance(g, mask, max_delta=0.29)
 
+    @pytest.mark.parametrize("value", (float("inf"), float("nan")))
+    def test_non_finite_max_delta(self, rng, value):
+        g = rand_lineq(rng, 5, 3)
+        with pytest.raises(ValueError, match="max_delta must be finite"):
+            DenseInstance(g, ~np.eye(5, dtype=bool), max_delta=value)
+
     def test_wrap_complete(self, rng):
         d = DenseInstance.wrap_complete(rand_ug(rng, 5, 2))
         assert d.delta == 0 and d.m == 10

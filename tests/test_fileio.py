@@ -188,6 +188,7 @@ class TestAssignmentRoundTrip:
     @pytest.mark.parametrize("labels, text", [
         ([0.6, 1.9], "assignment labels must be integers"),
         ([-1, 0], "labels must be nonnegative"),
+        (np.array([2**63, 0], dtype=np.uint64), "labels must be below 2**63"),
     ])
     def test_unreadable_labels_are_not_written(self, labels, text):
         with pytest.raises(ValueError) as exc:
@@ -197,6 +198,11 @@ class TestAssignmentRoundTrip:
     def test_order_insensitive(self):
         text = "ugassign 1\n2 5\n0 1\n1 0\n"
         assert np.array_equal(parse_assignment(text), [1, 0, 5])
+
+    def test_largest_label_round_trips(self):
+        labels = np.array([2**63 - 1, 0], dtype=np.uint64)
+        back = parse_assignment(serialize_assignment(labels))
+        assert back.tolist() == [2**63 - 1, 0]
 
     def test_shuffled_order_round_trip(self, rng):
         labels = rng.integers(0, 2**63 - 1, 5000, dtype=np.int64, endpoint=True)

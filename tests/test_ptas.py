@@ -1,12 +1,14 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import brute_oracle, rand_instance, violated_oracle
+from conftest import brute_oracle, greedy_max_loop_oracle, rand_instance, violated_oracle
 
-from ugsolve.core import DenseInstance
-from ugsolve.generators import planted, sparsify_everywhere_dense
+from ugsolve import solvers
+from ugsolve.core import LinEqInstance
+from ugsolve.generators import noise_model, planted, sparsify_everywhere_dense
 from ugsolve.ptas import DEFAULT_GREEDY_RESTARTS, PtasConfig, greedy_max, ptas_solve
 from ugsolve.solvers import voting_solve
 
@@ -78,7 +80,12 @@ class TestGreedyMax:
         g = rand_instance(rng, 6, 2, "cyclic")
         report = greedy_max(g, rng=1, restarts=4)
         assert report.algorithm == "greedy-max"
-        assert report.extra == {"restarts": 4}
+        assert report.extra["restarts"] == 4
+        assert report.extra["kernel"] == {"path": "lockstep", "sweeps": 4, "chunk": 4}
+        assert set(report.extra["phases"]) == {"sweeps", "evaluate"}
+        assert all(t >= 0 for t in report.extra["phases"].values())
+        perm = greedy_max(rand_instance(rng, 6, 3, "perm"), rng=1, restarts=4)
+        assert perm.extra["kernel"]["sweeps"] == 12
 
     def test_rejects_bad_input(self, rng):
         g = planted(6, 2, 0, rng=0).instance
@@ -86,6 +93,67 @@ class TestGreedyMax:
             greedy_max(sparsify_everywhere_dense(g, 0.2, rng=0))
         with pytest.raises(ValueError):
             greedy_max(g, restarts=0)
+
+
+def _tie_heavy(kind, n, q, seed):
+    """45% noise: many plurality ties along every sweep."""
+    if kind == "cyclic":
+        return noise_model(n, q, 0.45, rng=seed).instance
+    return planted(n, q, round(0.45 * n * (n - 1) / 2), kind="perm", rng=seed).instance
+
+
+def _same_as_loop(g, seed, restarts):
+    report = greedy_max(g, rng=seed, restarts=restarts)
+    bad, labels = greedy_max_loop_oracle(g, rng=seed, restarts=restarts)
+    assert report.violated == bad == violated_oracle(g, labels)
+    assert np.array_equal(report.assignment, labels)
+    return report
+
+
+class TestLockstepSweeps:
+    """The lockstep sweeps against one Python step per vertex and sweep."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n", (5, 12, 30, 50))
+    def test_tie_heavy_matches_loop_oracle(self, kind, n):
+        for q in (2, 3, 5, 7):
+            for seed in range(3):
+                g = _tie_heavy(kind, n, q, seed=100 * n + 10 * q + seed)
+                report = _same_as_loop(g, seed, restarts=1 + 2 * seed)
+                assert report.extra["kernel"]["path"] == "lockstep"
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_chunks_within_entry_cap(self, monkeypatch, kind):
+        # a cap of three sweeps' tables: 4 or 12 sweeps over several chunks
+        n, q = 9, 3
+        monkeypatch.setattr(solvers, "ENTRY_CAP", 3 * n * q + 1)
+        for seed in range(4):
+            report = _same_as_loop(_tie_heavy(kind, n, q, seed), seed, restarts=4)
+            assert report.extra["kernel"]["chunk"] == 3
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_table_above_cap_runs_sweeps_alone(self, monkeypatch, kind):
+        n, q = 10, 4
+        monkeypatch.setattr(solvers, "ENTRY_CAP", n * q - 1)
+        for seed in range(3):
+            report = _same_as_loop(_tie_heavy(kind, n, q, seed), seed, restarts=3)
+            assert report.extra["kernel"]["path"] == "per-sweep"
+            assert report.extra["kernel"]["chunk"] == 1
+
+    def test_huge_label_count_allocates_little(self):
+        # a (sweeps, n, q) table would take 5 * 6 * 10^6 int32 entries
+        q, n = 10**6, 6
+        g = LinEqInstance(n, q, np.triu(np.random.default_rng(0).integers(0, 3, (n, n)), 1))
+        tracemalloc.start()
+        try:
+            report = greedy_max(g, rng=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert report.extra["kernel"]["path"] == "per-sweep"
+        bad, labels = greedy_max_loop_oracle(g, rng=2)
+        assert report.violated == bad and np.array_equal(report.assignment, labels)
 
 
 class TestPtasSolve:
