@@ -92,10 +92,11 @@ def perm_compose(p, r):
 
 
 def perm_invert(p):
-    """Inverse bijection: perm_invert(p)[p[i]] = i."""
+    """Inverse bijection along the last axis: perm_invert(p)[p[i]] = i, for
+    one bijection or a stack of them."""
     p = np.asarray(p)
     inv = np.empty_like(p)
-    inv[p] = np.arange(len(p))
+    np.put_along_axis(inv, p, np.arange(p.shape[-1]), axis=-1)
     return inv
 
 
@@ -233,11 +234,8 @@ class UgInstance(_CompleteInstance):
         if not (np.sort(fwd, axis=1) == np.arange(self.q)).all():
             raise ValueError(f"each perm must be a bijection on [0, {self.q})")
 
-    def _reverse(self, fwd):
-        # perm(v, u) = inverse of perm(u, v)
-        inv = np.empty_like(fwd)
-        inv[np.arange(len(fwd))[:, None], fwd] = np.arange(self.q)
-        return inv
+    # perm(v, u) = inverse of perm(u, v)
+    _reverse = staticmethod(perm_invert)
 
     def perm(self, u, v):
         """Bijection for the ordered pair (u, v); perm(v, u) is its inverse."""
@@ -399,6 +397,15 @@ def _row_slices(n):
         yield slice(start, min(start + block, n))
 
 
+def _tally(forced, width):
+    """Histogram of forced labels: ``counts[b, v, a]`` is the number of k
+    with ``forced[b, k, v] == a``, for labels a in [0, width).  ``forced``
+    is offset in place, so callers pass an array of their own."""
+    B, _, V = forced.shape
+    forced += width * np.arange(B * V).reshape(B, 1, V)  # slot of (b, v)
+    return np.bincount(forced.ravel(), minlength=B * V * width).reshape(B, V, width)
+
+
 def _pivot_labels(g):
     """Labels a pivot must try.  A global label shift preserves every cyclic
     constraint, so a cyclic pivot at label 0 covers all its labels; a
@@ -458,4 +465,4 @@ def to_square_instance(g):
     # modes with the degenerate paths w == u and w == v left out
     for pivots, labels, temp, counts in _candidate_blocks(g):
         upper[:, pivots] = _voting_labels(counts, temp, pivots, labels, True).T
-    return LinEqInstance(n, q, np.triu(upper, k=1))
+    return LinEqInstance(n, q, upper)

@@ -283,10 +283,9 @@ def serialize_assignment(labels):
         raise ValueError("labels must be nonnegative")
     if len(a) and a.max() >= 2**63:
         raise ValueError("labels must be below 2**63")
-    pairs = [0] * (2 * len(a))
-    pairs[::2] = range(len(a))
-    pairs[1::2] = a.tolist()
-    return f"{ASSIGNMENT_MAGIC} {FORMAT_VERSION}\n" + ("%d %d\n" * len(a)) % tuple(pairs)
+    # int64 first: a column stack of int64 and uint64 is float64
+    rows = np.column_stack((np.arange(len(a)), a.astype(np.int64)))
+    return f"{ASSIGNMENT_MAGIC} {FORMAT_VERSION}\n" + _format_rows(rows)
 
 
 def parse_assignment(text):

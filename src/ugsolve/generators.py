@@ -12,7 +12,9 @@ from math import ceil
 
 import numpy as np
 
-from .core import DenseInstance, LinEqInstance, UgInstance, _exact, _seed, _spawn_int, as_generator
+from .core import (
+    DenseInstance, LinEqInstance, UgInstance, _exact, _seed, _spawn_int, _tally, as_generator
+)
 from .errors import GadgetGenerationError
 from .solvers import _digits, _require_complete, brute_force
 
@@ -91,7 +93,6 @@ def planted(n, q, num_corrupt, kind="cyclic", rng=None):
         if num_corrupt:
             shifts = gen.integers(1, q, size=num_corrupt)
             cu, cv = eu[picked], ev[picked]
-            upper = upper.copy()
             upper[cu, cv] = (upper[cu, cv] + shifts) % q
         inst = LinEqInstance(n, q, upper)
     else:
@@ -123,7 +124,6 @@ def noise_model(n, q, p_noise, rng=None):
     if q > 1 and flips.any():
         idx = np.nonzero(flips)[0]
         shifts = gen.integers(1, q, size=len(idx))
-        upper = upper.copy()
         upper[eu[idx], ev[idx]] = (upper[eu[idx], ev[idx]] + shifts) % q
         corrupted = [(int(eu[i]), int(ev[i])) for i in idx]
     return PlantedInstance(
@@ -238,7 +238,7 @@ def reduce_mindisagree2(h):
     a + edge becomes offset 0 (satisfied when labels agree), a - edge becomes
     offset 1 (satisfied when labels differ).  Costs carry over exactly."""
     upper = (np.asarray(h.signs) == -1).astype(np.int64)
-    return LinEqInstance(h.n, 2, np.triu(upper, k=1))
+    return LinEqInstance(h.n, 2, upper)
 
 
 def _shift_perm(q, s):
@@ -389,15 +389,11 @@ def _gadget_stats_exhaustive(offsets, q):
     total = q**ell
     lo, hi = None, None
     block = 1 << 14
-    cell = q * np.arange(ell)
     for start in range(0, total, block):
-        idx = np.arange(start, min(start + block, total), dtype=np.int64)
-        b = len(idx)
-        A = _digits(idx, [q] * ell)
+        A = _digits(np.arange(start, min(start + block, total), dtype=np.int64), [q] * ell)
         # want[s, i, j] = right label making arc (i, j) satisfied
         want = (A[:, :, None] - offsets[None, :, :]) % q
-        flat = (q * ell * np.arange(b)[:, None, None] + cell[None, None, :] + want).ravel()
-        t = np.bincount(flat, minlength=b * ell * q).reshape(b, ell, q)
+        t = _tally(want, q)  # t[s, j, a]: arcs into j satisfied at label a
         mins = t.min(axis=2).sum(axis=1)
         maxs = t.max(axis=2).sum(axis=1)
         lo = int(mins.min()) if lo is None else min(lo, int(mins.min()))
@@ -519,7 +515,6 @@ def blow_up(g, spec):
     g = _check_blowup(g, spec)
     k = spec.k
     N, q, off, present = _blow_up_arrays(g, k)
-    off = off.copy()
     pres = g.present_matrix()
     idx = 0
     for u in range(g.n):

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import solvers
 from .core import SolveReport, _pivot_labels, _violated_fast, as_generator
-from .solvers import _require_complete, voting_solve
+from .solvers import _require_complete, _violations, voting_solve
 
 __all__ = ["PtasConfig", "greedy_max", "ptas_solve"]
 
@@ -50,8 +50,8 @@ def _lockstep(g, orders, first):
     vote table, the smallest plurality label, then adds the row of labels
     its constraints force on every vertex with one fancy ``+=``; the (s, w)
     cells of one step are distinct, so the sum is exact.  The last step's
-    votes are added too: then a vertex's entry at its own label counts
-    itself and every constraint satisfied at it, which scores the sweeps."""
+    votes are added too: then the table holds every vertex's vote counts,
+    its own vote included, which is what solvers._violations scores."""
     S, n = orders.shape
     q = g.q
     sweeps = np.arange(S)
@@ -120,8 +120,7 @@ def greedy_max(g, rng=None, restarts=DEFAULT_GREEDY_RESTARTS):
         if chunk:
             labels[part], votes = _lockstep(g, orders[part], first[part])
             t1 = time.perf_counter()
-            agree = np.take_along_axis(votes, labels[part, :, None], axis=2)
-            bad[part] = g.m - (agree.sum(axis=(1, 2), dtype=np.int64) - n) // 2
+            bad[part] = _violations(g, labels[part], votes.transpose(0, 2, 1))
         else:
             labels[lo] = _sweep(g, orders[lo], first[lo])
             t1 = time.perf_counter()

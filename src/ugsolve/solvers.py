@@ -20,6 +20,7 @@ from .core import (
     _as_labels,
     _pivot_labels,
     _row_slices,
+    _tally,
     _violated_fast,
     as_generator,
 )
@@ -49,6 +50,13 @@ def _require_complete(g, op):
         raise ValueError(f"{op} works on complete instances; got a dense instance")
 
 
+def _check_pivot(g, pivot, pivot_label):
+    if not 0 <= pivot < g.n:
+        raise ValueError(f"pivot must be in [0, {g.n})")
+    if not 0 <= pivot_label < g.q:
+        raise ValueError(f"pivot label must be in [0, {g.q})")
+
+
 def pivot_assign(g, pivot, pivot_label=0):
     """Propagate the pivot's label along the pivot's own constraints.
 
@@ -57,11 +65,7 @@ def pivot_assign(g, pivot, pivot_label=0):
     to the pivot receive the UNLABELED sentinel (understood by dense_voting).
     On complete instances the result is a full assignment.
     """
-    n, q = g.n, g.q
-    if not 0 <= pivot < n:
-        raise ValueError(f"pivot must be in [0, {n})")
-    if not 0 <= pivot_label < q:
-        raise ValueError(f"pivot label must be in [0, {q})")
+    _check_pivot(g, pivot, pivot_label)
     return _propagate(g, np.array([pivot]), np.array([pivot_label]))[0]
 
 
@@ -296,15 +300,12 @@ def _voting_final(g, pivot, pivot_label):
     n, q = g.n, g.q
     cyclic = g.kind == "cyclic"
     temp = _propagate(g, np.array([pivot]), np.array([0 if cyclic else pivot_label]))[0]
-    counts = np.zeros(n * q, dtype=np.int64)
-    slots = q * np.arange(n)
+    counts = np.zeros((1, n, q), dtype=np.int64)
     for rows in _row_slices(n):
-        votes = g.implied(rows, temp[rows])  # votes[u, v] = vote of u for v
-        votes += slots
-        counts += np.bincount(votes.ravel(), minlength=n * q)
+        # implied[u, v]: the vote of u for v
+        counts += _tally(g.implied(rows, temp[rows])[None], q)
     return _voting_labels(
-        counts.reshape(n, q).T[None], temp[None], np.array([pivot]),
-        np.array([pivot_label]), cyclic,
+        counts.transpose(0, 2, 1), temp[None], np.array([pivot]), np.array([pivot_label]), cyclic
     )[0]
 
 
@@ -313,10 +314,7 @@ def voting_single(g, pivot, pivot_label=0):
     _require_complete(g, "voting_single")
     if g.n < 3:
         raise ValueError("voting needs n >= 3 (no third vertex to vote)")
-    if not 0 <= pivot < g.n:
-        raise ValueError(f"pivot must be in [0, {g.n})")
-    if not 0 <= pivot_label < g.q:
-        raise ValueError(f"pivot label must be in [0, {g.q})")
+    _check_pivot(g, pivot, pivot_label)
     return _voting_final(g, pivot, pivot_label)
 
 
@@ -582,9 +580,7 @@ def _split_search(g, present, space):
             # outside the chunk and for absent pairs
             votes = forced[:, :, k:] - c0
             votes[(votes < 0) | (votes > w)] = w
-            slots = np.arange(r * l).reshape(r, 1, l) * (w + 1)
-            W = np.bincount((slots + votes).ravel(), minlength=r * l * (w + 1))
-            W = W.reshape(r, l, w + 1)[:, :, :w].astype(np.int32)
+            W = _tally(votes, w + 1)[:, :, :w].astype(np.int32)
             sat = sat_high
             for j in range(l):
                 sat = sat[..., None] + W[:, j].reshape((r,) + (1,) * j + (w,))

@@ -53,6 +53,9 @@ class TestPermHelpers:
             p = rng.permutation(q)
             assert (perm_compose(p, perm_invert(p)) == np.arange(q)).all()
             assert (perm_compose(perm_invert(p), p) == np.arange(q)).all()
+            # a stack of bijections is inverted row by row
+            stack = np.array([rng.permutation(q) for _ in range(4)])
+            assert perm_invert(stack).tolist() == [perm_invert(s).tolist() for s in stack]
 
 
 class TestLinEqInstance:

@@ -290,18 +290,17 @@ def gadget_count_oracle(offsets, q, a, b):
 
 
 class TestBipartiteGadget:
-    def test_small_stats_match_full_enumeration(self):
-        spec = GadgetSpec(q=2, ell=4, seed=5)
-        gadget = bipartite_gadget(spec)
-        counts = [
-            gadget_count_oracle(gadget.offsets, 2, a, b)
-            for a in itertools.product(range(2), repeat=4)
-            for b in itertools.product(range(2), repeat=4)
-        ]
+    @pytest.mark.parametrize("q,ell,seed", [(2, 4, 5), (3, 6, 0)])
+    def test_small_stats_match_full_enumeration(self, q, ell, seed):
+        gadget = bipartite_gadget(GadgetSpec(q=q, ell=ell, seed=seed))
+        # every (left, right) labeling pair at once: [a, b, i, j] marks arc (i, j)
+        A = np.array(list(itertools.product(range(q), repeat=ell)), dtype=np.int8)
+        sat = (A[:, None, :, None] - A[None, :, None, :]) % q == gadget.offsets
+        counts = sat.sum(axis=(2, 3))
         assert gadget.mode == "exhaustive"
-        assert gadget.min_satisfied == min(counts)
-        assert gadget.max_satisfied == max(counts)
-        assert Fraction(sum(counts), len(counts)) == gadget.mean == Fraction(16, 2)
+        assert gadget.min_satisfied == counts.min()
+        assert gadget.max_satisfied == counts.max()
+        assert Fraction(int(counts.sum()), counts.size) == gadget.mean == Fraction(ell * ell, q)
 
     def test_accepted_stats_sit_inside_band(self):
         gadget = bipartite_gadget(GadgetSpec(q=3, ell=6, seed=0))
