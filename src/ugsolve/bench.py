@@ -4,13 +4,12 @@ A sweep is the cross product of (family, n, q, delta, corruption fraction)
 cells with a list of seeds and algorithms; each (cell, seed) pair generates
 one instance, every algorithm runs on it, and one CSV row per (cell, seed,
 algorithm) comes out in deterministic order.  Per-cell RNG streams are spawned
-from (seed, cell index), so running cells in parallel never changes results.
+from (seed, cell index), so no row depends on the rows before it.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 
@@ -94,8 +93,8 @@ class BenchRow:
 
 
 def resolve_threads(threads=None):
-    """Worker count: explicit argument, else UGSOLVE_THREADS, else CPU count
-    (0 or unset mean auto)."""
+    """Worker cap: explicit argument, else UGSOLVE_THREADS, else CPU count
+    (0 or unset mean auto); run_bench's one worker meets every cap."""
     if threads is None:
         raw = os.environ.get("UGSOLVE_THREADS", "0")
         try:
@@ -200,8 +199,8 @@ def run_bench(
     brute_limit=DEFAULT_BENCH_BRUTE_LIMIT,
     threads=None,
 ):
-    """Run the sweep and return rows in deterministic order (cells in
-    product order over n, q, delta, fraction; then seeds; then algorithms)."""
+    """Run the sweep cell by cell on the calling thread and return rows in
+    order: cells in product order over n, q, delta, fraction; then seeds; then algorithms."""
     algorithms = list(algorithms)
     for alg in algorithms:
         if alg not in ALGORITHMS:
@@ -215,9 +214,8 @@ def run_bench(
         for cell_index, (n, q, delta, frac) in enumerate(cells)
         for seed in seeds
     ]
-    with ThreadPoolExecutor(max_workers=resolve_threads(threads)) as pool:
-        groups = list(pool.map(lambda t: _cell_rows(*t), tasks))
-    return [row for group in groups for row in group]
+    resolve_threads(threads)
+    return [row for task in tasks for row in _cell_rows(*task)]
 
 
 def _fmt(value, spec=None):

@@ -339,7 +339,7 @@ def build_parser():
     p.add_argument("--family", choices=FAMILIES, default="planted")
     p.add_argument("--brute-limit", type=int, default=DEFAULT_BENCH_BRUTE_LIMIT)
     p.add_argument("--threads", type=int, default=None,
-                   help="worker cap (default: UGSOLVE_THREADS or CPU count)")
+                   help="worker cap, default UGSOLVE_THREADS or CPU count; one thread meets it")
     p.add_argument("--out", required=True, help="CSV path, or - for stdout")
     p.set_defaults(func=cmd_bench)
 

@@ -261,16 +261,21 @@ def pivot_random(g, rng=None):
 
 def _random_pivot(g, rng, algorithm, round_):
     """Draw one pivot, run ``round_(g, pivot, label)`` for every label in
-    _pivot_labels(g) and keep the first strict minimum."""
+    _pivot_labels(g), keep the first strict minimum and time rounds and scoring."""
     t0 = time.perf_counter()
     seed = rng if isinstance(rng, (int, np.integer)) else None
     p = int(as_generator(rng).integers(g.n))
     if g.n == 2 and round_ is _voting_final:
         return _pivot_fallback(g, algorithm, seed)
+    phases = {"round": 0.0, "evaluate": 0.0}
     best = None
     for l in _pivot_labels(g):
+        t1 = time.perf_counter()
         a = round_(g, p, l)
+        t2 = time.perf_counter()
         bad = _violated_fast(g, a)
+        phases["round"] += t2 - t1
+        phases["evaluate"] += time.perf_counter() - t2
         if best is None or bad < best[0]:
             best = (bad, l, a)
     bad, l, a = best
@@ -282,6 +287,7 @@ def _random_pivot(g, rng, algorithm, round_):
         pivot_label=l,
         seed=seed,
         elapsed=time.perf_counter() - t0,
+        extra={"phases": phases},
     )
 
 

@@ -1,7 +1,9 @@
 import io
+import threading
 
 import pytest
 
+from ugsolve import bench
 from ugsolve.bench import (
     ALGORITHMS,
     CSV_HEADER,
@@ -95,6 +97,31 @@ class TestRunBench:
         serial = run_bench(["pivot", "rvoting", "ptas"], threads=1, **kwargs)
         parallel = run_bench(["pivot", "rvoting", "ptas"], threads=4, **kwargs)
         assert strip_timing(serial) == strip_timing(parallel)
+
+    def test_cells_run_on_the_calling_thread(self, monkeypatch):
+        # one worker meets every cap: under threads=4 every cell still runs
+        # on the caller's thread, and no thread outlives the call
+        idents = []
+        cell_rows = bench._cell_rows
+
+        def recording(*task):
+            idents.append(threading.get_ident())
+            return cell_rows(*task)
+
+        monkeypatch.setattr(bench, "_cell_rows", recording)
+        before = threading.active_count()
+        rows = run_bench(["pivot", "rvoting"], ns=[5, 6], qs=[2], seeds=[0, 1], threads=4)
+        assert len(rows) == 8
+        assert idents == [threading.get_ident()] * 4
+        assert threading.active_count() == before
+
+    def test_bad_thread_cap_is_rejected_before_any_cell(self, monkeypatch):
+        monkeypatch.setattr(bench, "_cell_rows", lambda *task: pytest.fail("a cell ran"))
+        with pytest.raises(ValueError, match="thread count must be >= 0"):
+            run_bench(["pivot"], ns=[5], qs=[2], threads=-1)
+        monkeypatch.setenv("UGSOLVE_THREADS", "many")
+        with pytest.raises(ValueError, match="UGSOLVE_THREADS must be an integer"):
+            run_bench(["pivot"], ns=[5], qs=[2])
 
     def test_negative_seed_is_rejected_up_front(self):
         with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):

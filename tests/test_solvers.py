@@ -126,6 +126,8 @@ class TestPivotRandom:
         b = pivot_random(g, rng=5)
         assert a.pivot == b.pivot and (a.assignment == b.assignment).all()
         assert a.seed == 5 and a.algorithm == "pivot-random"
+        assert set(a.extra["phases"]) == {"round", "evaluate"}
+        assert all(t >= 0 for t in a.extra["phases"].values())
 
     def test_result_matches_its_own_pivot(self, rng):
         for kind in KINDS:
@@ -236,6 +238,8 @@ class TestRandomizedVoting:
             rep = randomized_voting(g, rng=3)
             again = randomized_voting(g, rng=3)
             assert (rep.assignment == again.assignment).all()
+            assert set(rep.extra["phases"]) == {"round", "evaluate"}
+            assert all(t >= 0 for t in rep.extra["phases"].values())
             labels = range(3) if kind == "perm" else [0]
             best = min(
                 (violated_oracle(g, vote_oracle(g, rep.pivot, l)), l)
